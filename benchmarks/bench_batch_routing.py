@@ -1,10 +1,11 @@
-"""B: batched routing throughput — route_batch vs per-call route_adaptive.
+"""B: batched routing throughput — route_batch vs a fresh service per pair.
 
 The acceptance target for the batch service: on a 16^3 mesh with 10k
 random pairs over one fault pattern, ``RoutingService.route_batch`` must
-be at least 5x faster than per-pair :func:`route_adaptive` (which
-rebuilds labelled grids, walls, and reachability floods per call) while
-producing element-wise identical :class:`RouteResult` outcomes.
+be at least 5x faster than routing each pair through a fresh
+``make_service(mask, mode=mode)`` (which rebuilds labelled grids, walls,
+and reachability floods per call) while producing element-wise
+identical :class:`RouteResult` outcomes.
 
 Run standalone for the full comparison::
 
@@ -22,7 +23,7 @@ import numpy as np
 
 from repro.experiments.workloads import random_fault_mask
 from repro.routing.batch import RoutingService
-from repro.routing.engine import route_adaptive
+from repro.service import make_service
 from repro.util.rng import make_rng
 
 
@@ -63,7 +64,7 @@ def run_comparison(
     t_batch = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    solo = [route_adaptive(mask, s, d, mode=mode) for s, d in batch_pairs]
+    solo = [make_service(mask, mode=mode).route(s, d) for s, d in batch_pairs]
     t_solo = time.perf_counter() - t0
 
     mismatches = sum(
@@ -90,7 +91,7 @@ def test_batch_routing_throughput(benchmark):
     batch_pairs = sample_pairs(mask, 400, rng)
     service = RoutingService(mask, mode="mcc")
     results = benchmark(service.route_batch, batch_pairs)
-    solo = [route_adaptive(mask, s, d) for s, d in batch_pairs]
+    solo = [make_service(mask).route(s, d) for s, d in batch_pairs]
     assert all(results_identical(a, b) for a, b in zip(results, solo, strict=True))
 
 
@@ -136,7 +137,7 @@ def main() -> None:
         f"  route_batch   : {stats['t_batch_s']:8.3f} s  "
         f"({stats['batch_pairs_per_s']:,.0f} pairs/s)"
     )
-    print(f"  route_adaptive: {stats['t_percall_s']:8.3f} s  (per-call)")
+    print(f"  per-call      : {stats['t_percall_s']:8.3f} s  (fresh service per pair)")
     print(f"  speedup       : {stats['speedup']:8.1f}x")
     print(f"  delivered     : {stats['delivered']} / {stats['pairs']}")
     assert stats["mismatches"] == 0, (

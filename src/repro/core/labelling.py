@@ -232,9 +232,6 @@ class LabelledGrid:
     def shape(self) -> tuple[int, ...]:
         return self.status.shape
 
-    def status_at(self, coord: Sequence[int]) -> int:
-        return int(self.status[tuple(coord)])
-
     def counts(self) -> dict[str, int]:
         """Node counts per status (reporting helper)."""
         return {

@@ -111,10 +111,6 @@ class IdentificationMixin(NodeProcess):
                     contacts.add(plane_step(self.coord, axis_u, axis_v, du, dv))
         return contacts
 
-    def _on_ring(self, plane: tuple[int, int]) -> bool:
-        """Is this node 8-adjacent (in-plane) to some unsafe cell?"""
-        return bool(self._ring_contacts(plane))
-
     # -- phase 1: edge announcements -------------------------------------------
 
     def start_identification(self, announce_empty: bool = False) -> None:

@@ -142,44 +142,6 @@ def fill_interior(
     return region
 
 
-def fill_enclosed(boundary_cells: set[tuple[int, int]]) -> set[tuple[int, int]]:
-    """Cells of the region outlined by ``boundary_cells`` (2-D, plane frame).
-
-    The identification messages see the region's *outer boundary cells*
-    (the unsafe neighbors of ring nodes).  The full region is that
-    boundary plus its enclosed interior, computed by flooding the
-    bounding box from outside: anything unreachable without crossing the
-    boundary belongs to the region.  Exact for 2-D MCCs (rectilinear
-    monotone polygons have no safe holes).
-    """
-    if not boundary_cells:
-        return set()
-    us = [c[0] for c in boundary_cells]
-    vs = [c[1] for c in boundary_cells]
-    lo_u, hi_u = min(us) - 1, max(us) + 1
-    lo_v, hi_v = min(vs) - 1, max(vs) + 1
-    outside: set[tuple[int, int]] = set()
-    stack = [(lo_u, lo_v)]
-    seen = {(lo_u, lo_v)}
-    while stack:
-        u, v = stack.pop()
-        outside.add((u, v))
-        for du, dv in ((1, 0), (-1, 0), (0, 1), (0, -1)):
-            nu, nv = u + du, v + dv
-            if not (lo_u <= nu <= hi_u and lo_v <= nv <= hi_v):
-                continue
-            if (nu, nv) in seen or (nu, nv) in boundary_cells:
-                continue
-            seen.add((nu, nv))
-            stack.append((nu, nv))
-    region = set(boundary_cells)
-    for u in range(lo_u, hi_u + 1):
-        for v in range(lo_v, hi_v + 1):
-            if (u, v) not in outside and (u, v) not in region:
-                region.add((u, v))
-    return region
-
-
 def column_tops(cells: set[tuple[int, int]]) -> dict[int, int]:
     """Per-u max v of a plane region (forbidden-region encoding).
 

@@ -281,6 +281,3 @@ def run_all(
         for key, (spec, mode) in plan.items()
     }
 
-
-def render_all(tables: dict[str, ResultTable]) -> str:
-    return "\n\n".join(f"[{key}]\n{table.render()}" for key, table in tables.items())

@@ -32,7 +32,3 @@ def wall_now() -> float:
     """Monotonic wall-clock seconds (arbitrary epoch, never goes back)."""
     return time.perf_counter()
 
-
-def wall_now_ns() -> int:
-    """Monotonic wall-clock nanoseconds (for overhead micro-accounting)."""
-    return time.perf_counter_ns()

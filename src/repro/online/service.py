@@ -97,7 +97,9 @@ class _OnlineRouter(AdaptiveRouter):
     :class:`~repro.baselines.rfb.DynamicRFBState` — the baseline's
     block set is direction-independent, so a single block-local
     recompute per event serves all 2^n classes.  In "oracle"/"blind"
-    modes the labelled grids are live views of the fault mask itself.
+    modes the labelled grids and the blocked/open masks are live views
+    of the fault mask itself, so oracle reach masks share the mcc/rfb
+    per-class cache and its scoped eviction.
     """
 
     def __init__(
@@ -120,11 +122,13 @@ class _OnlineRouter(AdaptiveRouter):
         )
         assert self.fault_mask is model.fault_mask
         self.model = model
-        # Live int8 view source for oracle/blind labelled grids.
+        # Live view sources for oracle/blind class models (the blocked
+        # mask is the fault mask itself); apply_event keeps them in sync.
         self._status_mesh = model.fault_mask.astype(np.int8) * FAULTY
+        self._open_mesh = ~model.fault_mask
         # Incrementally maintained RFB block state (rfb mode only).
         self._rfb = DynamicRFBState(model.fault_mask) if mode == "rfb" else None
-        #: Reach/forbidden masks dropped by scoped invalidation, and
+        #: Reach masks dropped by scoped invalidation, and
         #: entries that survived an event (cache-efficiency telemetry).
         self.evicted = 0
         self.retained = 0
@@ -163,26 +167,41 @@ class _OnlineRouter(AdaptiveRouter):
             else:
                 status = orientation.to_canonical(self._status_mesh)
                 labelled = LabelledGrid(status=status, orientation=orientation)
-                m = _ClassModel(labelled, [], label_grid, self.reach_cache_size)
+                m = _ClassModel(
+                    labelled,
+                    [],
+                    label_grid,
+                    self.reach_cache_size,
+                    blocked=orientation.to_canonical(self.fault_mask),
+                    open_mask=orientation.to_canonical(self._open_mesh),
+                )
             self._models[key] = m
         return self._models[key]
 
     # -- event application -------------------------------------------------
 
-    def _evict_cone(self, cache, keys, lo: Coord | None) -> None:
-        """Drop cached destinations inside the dirty cone ``dest >= lo``."""
-        for key in keys:
-            dest = key[1] if isinstance(key[0], tuple) else key
+    def _evict_cone(self, cache, lo: Coord | None) -> None:
+        """Drop cached destinations inside the dirty cone ``dest >= lo``
+        (``lo=None``: nothing changed, every entry is kept)."""
+        for dest in cache.keys():
             if lo is not None and all(d >= a for d, a in zip(dest, lo, strict=True)):
-                cache.pop(key)
+                cache.pop(dest)
                 self.evicted += 1
             else:
                 self.retained += 1
 
+    def _canonical_lo(self, signs: tuple[int, ...], cells) -> Coord:
+        """Component-wise minimum of mesh-frame ``cells`` in a class frame."""
+        orientation = Orientation(signs, self.fault_mask.shape)
+        mapped = [orientation.map_coord(c) for c in cells]
+        return tuple(int(v) for v in np.min(mapped, axis=0))
+
     def apply_event(self, event: FaultEvent) -> None:
         """Invalidate exactly the cached state the event can have touched."""
         for c in event.cells:
-            self._status_mesh[c] = FAULTY if self.fault_mask[c] else SAFE
+            faulty = bool(self.fault_mask[c])
+            self._status_mesh[c] = FAULTY if faulty else SAFE
+            self._open_mesh[c] = not faulty
         if self.mode == "rfb":
             dirty, swept, full = self._rfb.apply(event.cells, event.kind)
             event.dirty_cells += swept
@@ -198,13 +217,8 @@ class _OnlineRouter(AdaptiveRouter):
                     self.evicted += len(m._reach)
                     m._reach.clear()
                     continue
-                orientation = Orientation(signs, self.fault_mask.shape)
-                mapped = [
-                    orientation.map_coord(dirty.lo),
-                    orientation.map_coord(dirty.hi),
-                ]
-                lo = tuple(int(v) for v in np.min(mapped, axis=0))
-                self._evict_cone(m._reach, m._reach.keys(), lo)
+                lo = self._canonical_lo(signs, (dirty.lo, dirty.hi))
+                self._evict_cone(m._reach, lo)
             return
         if self.mode == "mcc":
             for signs, m in self._models.items():
@@ -217,22 +231,12 @@ class _OnlineRouter(AdaptiveRouter):
                     continue
                 lo = ((0,) * len(self.fault_mask.shape)
                       if dirt.full else dirt.open_lo)
-                self._evict_cone(m._reach, m._reach.keys(), lo)
+                self._evict_cone(m._reach, lo)
         elif self.mode == "oracle":
-            # Forbidden sets depend on the fault mask alone; the dirty
-            # cone per class starts at the lowest event cell.
-            los: dict[tuple[int, ...], Coord] = {}
-            for key in self._blocked_cache.keys():
-                signs = key[0]
-                if signs not in los:
-                    orientation = Orientation(signs, self.fault_mask.shape)
-                    mapped = [orientation.map_coord(c) for c in event.cells]
-                    los[signs] = tuple(
-                        int(v) for v in np.min(mapped, axis=0)
-                    )
-                self._evict_cone(
-                    self._blocked_cache, [key], los[signs]
-                )
+            # Oracle reach masks depend on the fault mask alone; the
+            # dirty cone per class starts at the lowest event cell.
+            for signs, m in self._models.items():
+                self._evict_cone(m._reach, self._canonical_lo(signs, event.cells))
 
 
 class OnlineRoutingService:

@@ -3,8 +3,8 @@
 The experiment sweeps (T2/T4), the DES workloads, and the fault-block
 literature's evaluation methodology all route *batches* — tens of
 thousands of (source, destination) pairs against a single fault pattern.
-Doing that through one-shot :func:`repro.routing.engine.route_adaptive`
-re-derives every piece of model state per pair: the ``LabelledGrid``,
+Routing them one at a time through a fresh router per pair would
+re-derive every piece of model state per pair: the ``LabelledGrid``,
 the MCC walls, and a reverse-reachability flood per destination.
 
 :class:`RoutingService` shares all of it:
@@ -238,14 +238,11 @@ class RoutingService:
     ) -> np.ndarray:
         """Model verdicts for many sources sharing one destination.
 
-        One cached flood + one fancy-index per group, replacing a flood
-        (oracle) or mask probe (mcc/rfb) per pair.
+        One cached flood + one fancy-index per group, replacing a mask
+        probe per pair.
         """
         coords = tuple(np.asarray(sources, dtype=np.intp).T)
-        if self.mode == "oracle":
-            blocked = self.router._oracle_blocked(model, dest)
-            return ~blocked[coords]
-        # mcc / rfb: safe endpoints, then model reachability.
+        # Safe endpoints, then model reachability.
         safe = model.labelled.safe_mask
         ok = np.full(len(sources), bool(safe[dest]), dtype=bool)
         if ok.any():
@@ -310,29 +307,7 @@ class RoutingService:
         for start in range(0, len(groups), chunk):
             block = groups[start : start + chunk]
             dests = [dest for _indices, _sources, dest in block]
-            if self.mode in ("mcc", "rfb"):
+            if self.mode != "blind":
                 model.prime_reach(dests)
-            elif self.mode == "oracle":
-                self.router._prime_oracle(model, dests)
             yield block
 
-
-def route_batch(
-    fault_mask: np.ndarray,
-    pairs: Iterable[Sequence[Sequence[int]]],
-    mode: str = "mcc",
-    policy: Policy | None = None,
-    max_hops: int | None = None,
-    reach_cache_size: int | None = DEFAULT_REACH_CACHE_SIZE,
-    replay_policy: bool = False,
-) -> list[RouteResult]:
-    """Route many pairs over one fault pattern with shared model state."""
-    service = RoutingService(
-        fault_mask,
-        mode=mode,
-        policy=policy,
-        max_hops=max_hops,
-        reach_cache_size=reach_cache_size,
-        replay_policy=replay_policy,
-    )
-    return service.route_batch(pairs)

@@ -14,8 +14,10 @@
 4. a pluggable policy picks among the survivors (step 2c).
 
 In "oracle" mode the exclusion rule is exact reverse reachability — the
-reference the MCC mode must match (property P3).  "blind" mode uses no
-model at all (baseline).
+reference the MCC mode must match (property P3).  It is the same rule
+over a class model that marks faults only (no useless cells), so it
+shares the per-destination reach cache and code path of mcc/rfb.
+"blind" mode uses no model at all (baseline).
 
 All model state is cached: one ``_ClassModel`` per direction class and
 one reverse-reachability mask per destination (LRU-bounded, see
@@ -32,7 +34,7 @@ import numpy as np
 
 from repro.baselines.rfb import rfb_labelled
 from repro.core.components import extract_mccs
-from repro.core.labelling import FAULTY, USELESS, LabelledGrid, label_grid
+from repro.core.labelling import FAULTY, SAFE, USELESS, LabelledGrid, label_grid
 from repro.core.model_cache import cached_class_assets
 from repro.core.walls import Wall, build_walls
 from repro.mesh.coords import Coord, manhattan
@@ -183,9 +185,8 @@ class _ClassModel:
         return self._reach_ok(source, dest)
 
     def endpoints_safe(self, source: Coord, dest: Coord) -> bool:
-        return bool(
-            self.labelled.safe_mask[source] and self.labelled.safe_mask[dest]
-        )
+        status = self.labelled.status
+        return bool(status[source] == SAFE and status[dest] == SAFE)
 
 
 class AdaptiveRouter:
@@ -199,9 +200,9 @@ class AdaptiveRouter:
     * ``"blind"``  — no model; only faulty neighbors are avoided.
 
     ``reach_cache_size`` bounds the per-destination reachability masks
-    cached by each class model (and oracle mode's forbidden-set masks);
-    ``None`` disables the bound.  ``label_cache=True`` (default) reuses
-    canonical-class labellings across routers by fault-mask content
+    cached by each class model, in every mode; ``None`` disables the
+    bound.  ``label_cache=True`` (default) reuses canonical-class
+    labellings across routers by fault-mask content
     (:mod:`repro.core.model_cache`), so sweeps that revisit a pattern —
     or several model consumers over one pattern — label each direction
     class once per process.
@@ -227,10 +228,6 @@ class AdaptiveRouter:
         self.reach_cache_size = reach_cache_size
         self.label_cache = label_cache
         self._models: dict[tuple[int, ...], _ClassModel] = {}
-        # Oracle mode: reverse-reachability masks cached per (class, dest).
-        self._blocked_cache: LRUCache[
-            tuple[tuple[int, ...], Coord], np.ndarray
-        ] = LRUCache(reach_cache_size)
 
     # -- model construction (cached per direction class) -------------------
 
@@ -263,30 +260,6 @@ class AdaptiveRouter:
                 labelled, walls, labeller, self.reach_cache_size
             )
         return self._models[key]
-
-    def _oracle_blocked(self, model: _ClassModel, dest: Coord) -> np.ndarray:
-        """Oracle forbidden set for ``dest``: cells that cannot reach it."""
-        key = (model.labelled.orientation.signs, dest)
-        blocked = self._blocked_cache.get(key)
-        if blocked is None:
-            open_mask = ~model.labelled.fault_mask
-            blocked = ~reverse_reachable(open_mask, dest)
-            blocked.setflags(write=False)
-            self._blocked_cache.put(key, blocked)
-        return blocked
-
-    def _prime_oracle(self, model: _ClassModel, dests: Sequence[Coord]) -> None:
-        """Warm the oracle forbidden-set cache for many destinations."""
-        signs = model.labelled.orientation.signs
-        missing = [d for d in dests if (signs, d) not in self._blocked_cache]
-        if not missing:
-            return
-        open_mask = ~model.labelled.fault_mask
-        stacked = reverse_reachable_many(open_mask, missing)
-        for dest, mask in zip(missing, stacked, strict=True):
-            blocked = np.ascontiguousarray(~mask)
-            blocked.setflags(write=False)
-            self._blocked_cache.put((signs, dest), blocked)
 
     # -- routing -------------------------------------------------------------
 
@@ -321,16 +294,16 @@ class AdaptiveRouter:
     ) -> str | None:
         """The model's refusal reason for a canonical pair, or None (go).
 
-        Blind mode has no feasibility check: it just tries.
+        Blind mode has no feasibility check: it just tries.  Oracle mode
+        runs the mcc/rfb checks over its own grid, where every non-faulty
+        cell is safe, so only the reachability verdict can refuse.
         """
-        if self.mode in ("mcc", "rfb"):
-            if not model.endpoints_safe(s, d):
-                return "endpoint inside fault region"
-            if not model.feasible(s, d):
-                return "infeasible"
-        elif self.mode == "oracle":
-            if self._oracle_blocked(model, d)[s]:
-                return "infeasible"
+        if self.mode == "blind":
+            return None
+        if not model.endpoints_safe(s, d):
+            return "endpoint inside fault region"
+        if not model.feasible(s, d):
+            return "infeasible"
         return None
 
     def _forward(
@@ -357,20 +330,9 @@ class AdaptiveRouter:
         return RouteResult(delivered=True, path=path, feasible=True)
 
     def _candidates(self, model: _ClassModel, pos: Coord, dest: Coord) -> list[int]:
-        if self.mode in ("mcc", "rfb"):
+        if self.mode != "blind":
             return model.candidates(pos, dest)
-        if self.mode == "oracle":
-            blocked = self._oracle_blocked(model, dest)
-            out = []
-            for axis in range(len(pos)):
-                if pos[axis] >= dest[axis]:
-                    continue
-                nxt = list(pos)
-                nxt[axis] += 1
-                if not blocked[tuple(nxt)]:
-                    out.append(axis)
-            return out
-        # blind
+        # blind: only faulty neighbors are avoided.
         out = []
         for axis in range(len(pos)):
             if pos[axis] >= dest[axis]:
@@ -395,35 +357,6 @@ class AdaptiveRouter:
             stuck_at=path[-1],
             reason=reason,
         )
-
-
-def route_adaptive(
-    fault_mask: np.ndarray,
-    source: Sequence[int],
-    dest: Sequence[int],
-    mode: str = "mcc",
-    policy: Policy | None = None,
-) -> RouteResult:
-    """One-shot convenience wrapper around :class:`RoutingService`.
-
-    .. deprecated:: 1.1
-        Builds model state for a single pair and throws it away.  Use
-        :func:`repro.service.make_service` and hold the returned
-        service instead — ``make_service(mask, mode=...).route(s, d)``
-        is the same verdict through the shared caches.
-    """
-    import warnings
-
-    warnings.warn(
-        "route_adaptive() rebuilds all model state per call and is "
-        "deprecated; use repro.service.make_service(mask, mode=...) and "
-        "route through the returned service",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    from repro.routing.batch import RoutingService
-
-    return RoutingService(fault_mask, mode=mode, policy=policy).route(source, dest)
 
 
 def explore_all_choices(

@@ -7,7 +7,7 @@ with its own signature and construction idiom:
   one *static* fault pattern (positional mask, many model knobs);
 * :class:`repro.online.OnlineRoutingService` — epoch-versioned routing
   over a *mutating* fault set (same knobs, plus incremental-relabelling
-  ones, minus ``label_cache``/``router`` which do not apply);
+  ones, minus ``label_cache`` which does not apply);
 * :func:`repro.core.model_cache.cached_routing_service` — a
   process-wide *shared* service keyed by mask content (mask + mode
   only; anything stateful would poison the cache).
@@ -18,10 +18,8 @@ validated against it — asking for a combination a flavour cannot
 honour raises ``ValueError`` up front instead of being silently
 ignored.  The experiments, the examples, and the async serving layer
 (:mod:`repro.serve`) all construct their services here, so "which
-service do I build and what may I pass it" has exactly one answer.
-
-The one-shot :func:`repro.routing.engine.route_adaptive` wrapper is
-deprecated in favour of ``make_service(mask).route(s, d)``.
+service do I build and what may I pass it" has exactly one answer;
+one pair routes as ``make_service(mask).route(s, d)``.
 """
 
 from __future__ import annotations
@@ -34,7 +32,7 @@ from repro.core.model_cache import cached_routing_service
 from repro.online.dynamic_model import DEFAULT_FULL_RECOMPUTE_FRACTION
 from repro.online.service import OnlineRoutingService
 from repro.routing.batch import RoutingService
-from repro.routing.engine import DEFAULT_REACH_CACHE_SIZE, AdaptiveRouter
+from repro.routing.engine import DEFAULT_REACH_CACHE_SIZE
 from repro.routing.policies import Policy
 
 AnyRoutingService = Union[RoutingService, OnlineRoutingService]
@@ -45,14 +43,12 @@ _SHARED_INCOMPATIBLE = (
     "policy",
     "max_hops",
     "replay_policy",
-    "router",
     "full_recompute_fraction",
 )
 
-#: Knobs `online=True` cannot honour: the online service builds its own
-#: mutable-model router, and its label arrays must never enter the
-#: content-addressed cache.
-_ONLINE_INCOMPATIBLE = ("label_cache", "router")
+#: Knobs `online=True` cannot honour: the online service's label arrays
+#: mutate, so they must never enter the content-addressed cache.
+_ONLINE_INCOMPATIBLE = ("label_cache",)
 
 
 def make_service(
@@ -66,7 +62,6 @@ def make_service(
     reach_cache_size: int | None = DEFAULT_REACH_CACHE_SIZE,
     replay_policy: bool = False,
     label_cache: bool | None = None,
-    router: AdaptiveRouter | None = None,
     full_recompute_fraction: float | None = None,
 ) -> AnyRoutingService:
     """Build (or fetch) the routing service for a fault pattern.
@@ -86,8 +81,7 @@ def make_service(
     ``label_cache`` (static flavour only) routes labelling through the
     content-addressed cross-pattern cache (default on);
     ``full_recompute_fraction`` (online flavour only) bounds the
-    incremental relabeller; ``router`` (static flavour only) adopts a
-    caller-owned :class:`AdaptiveRouter` in place of the mask.
+    incremental relabeller.
     """
     if online and shared:
         raise ValueError(
@@ -95,9 +89,8 @@ def make_service(
             "mutating fault set cannot be content-addressed"
         )
     if online:
-        _reject(flavour="online=True", given=_given(
-            label_cache=label_cache, router=router
-        ), forbidden=_ONLINE_INCOMPATIBLE)
+        _reject(flavour="online=True", given=_given(label_cache=label_cache),
+                forbidden=_ONLINE_INCOMPATIBLE)
         if fault_mask is None:
             raise ValueError("make_service(online=True) needs a fault_mask")
         return OnlineRoutingService(
@@ -118,7 +111,6 @@ def make_service(
             policy=policy,
             max_hops=max_hops,
             replay_policy=replay_policy or None,
-            router=router,
             full_recompute_fraction=full_recompute_fraction,
             label_cache=label_cache,
         )
@@ -146,7 +138,6 @@ def make_service(
         reach_cache_size=reach_cache_size,
         replay_policy=replay_policy,
         label_cache=True if label_cache is None else label_cache,
-        router=router,
     )
 
 

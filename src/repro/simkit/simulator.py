@@ -5,10 +5,11 @@ re-testing ``until``/``observer``/``max_events`` on every event: the
 hot case (no deadline, no observer — every ``run_to_quiescence`` in
 every protocol build and T4/T6/T7 run) drains the queue with a tight
 pop-execute loop that touches one attribute write per time advance,
-while deadline- or observer-carrying runs take the general loop with
-the exact historical semantics.  The observer is sampled at ``run``
-entry — attach sanitizers (``repro.analysis.sanitize``) before
-starting the run, never from inside an event action.
+while deadline- or observer-carrying runs, and runs over a non-default
+queue, take the general loop with the exact historical semantics.  The
+observer is sampled at ``run`` entry — attach sanitizers
+(``repro.analysis.sanitize``) before starting the run, never from
+inside an event action.
 """
 
 from __future__ import annotations
@@ -25,7 +26,12 @@ _EPOCH_CAP_INT = int(_EPOCH_CAP)
 
 
 class Simulator:
-    """Drives an :class:`EventQueue` with a monotone simulation clock."""
+    """Drives an :class:`EventQueue` with a monotone simulation clock.
+
+    ``queue`` may be any object with the :class:`HeapEventQueue` API
+    (push/cancel/pop/peek_time); only the default queue gets the
+    inlined schedule and drain fast paths.
+    """
 
     #: Queue factory — overridable for baseline comparisons (the
     #: event-loop benchmark pins ``HeapEventQueue`` here to measure the
@@ -106,7 +112,7 @@ class Simulator:
         ``until``, or after ``max_events`` (a runaway-protocol guard).
         Returns the number of events processed by this call.
         """
-        if until is None and self.observer is None:
+        if until is None and self.observer is None and type(self.queue) is EventQueue:
             processed = self._run_drain(max_events)
         else:
             processed = self._run_general(until, max_events)
@@ -117,15 +123,13 @@ class Simulator:
         """Hot path: drain without deadline checks or observer hooks.
 
         The executor and the default :class:`CalendarEventQueue` are
-        co-designed: for the default queue the pop is inlined into the
-        loop (no per-event method call, no per-pop allocation), reading
-        the queue's drain structures directly.  Any other queue object
-        takes the portable loop below — same semantics, one ``pop``
-        call per event.
+        co-designed: the pop is inlined into the loop (no per-event
+        method call, no per-pop allocation), reading the queue's drain
+        structures directly.  Any other queue object takes
+        :meth:`_run_general` — same semantics, one ``pop`` call per
+        event.
         """
         queue = self.queue
-        if type(queue) is not EventQueue:
-            return self._run_drain_portable(max_events)
         budget = -1 if max_events is None else max_events
         processed = 0
         now = self.now
@@ -161,28 +165,6 @@ class Simulator:
                 now = time
                 self.now = time
             action()
-            processed += 1
-        return processed
-
-    def _run_drain_portable(self, max_events: int | None) -> int:
-        """Drain loop for duck-typed queues (no internal access)."""
-        # ``pop_event`` hands back the queue's stored (time, seq,
-        # action) triple — zero allocations per event.  ``item[-1]``
-        # keeps a plain two-field ``pop`` working for custom queues.
-        queue = self.queue
-        pop = getattr(queue, "pop_event", None) or queue.pop
-        budget = -1 if max_events is None else max_events
-        processed = 0
-        now = self.now
-        while processed != budget:
-            item = pop()
-            if item is None:
-                break
-            time = item[0]
-            if time > now:
-                now = time
-                self.now = time
-            item[-1]()
             processed += 1
         return processed
 

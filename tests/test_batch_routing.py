@@ -13,8 +13,8 @@ from hypothesis import strategies as st
 
 from repro.mesh.orientation import Orientation
 from repro.mesh.regions import mask_of_cells
-from repro.routing.batch import RoutingService, route_batch
-from repro.routing.engine import AdaptiveRouter, route_adaptive
+from repro.routing.batch import RoutingService
+from repro.routing.engine import AdaptiveRouter
 from repro.routing.oracle import reverse_reachable, reverse_reachable_many
 from repro.routing.policies import DiagonalPolicy, FixedOrderPolicy, RandomPolicy
 from repro.util.caching import LRUCache
@@ -180,9 +180,9 @@ class TestRoutingService:
             s = tuple(int(v) for v in rng.integers(0, shape[0], len(shape)))
             d = tuple(int(v) for v in rng.integers(0, shape[0], len(shape)))
             pairs.append((s, d))
-        batched = route_batch(mask, pairs, mode=mode, policy=policy)
+        batched = RoutingService(mask, mode=mode, policy=policy).route_batch(pairs)
         for pair, got in zip(pairs, batched, strict=True):
-            want = route_adaptive(mask, *pair, mode=mode, policy=policy)
+            want = AdaptiveRouter(mask, mode=mode, policy=policy).route(*pair)
             assert results_equal(got, want), (mode, pair, got, want)
 
     def test_tiny_lru_still_identical(self):
@@ -195,9 +195,16 @@ class TestRoutingService:
             s = tuple(int(v) for v in rng.integers(0, 6, 3))
             d = tuple(int(v) for v in rng.integers(0, 6, 3))
             pairs.append((s, d))
-        small = RoutingService(mask, reach_cache_size=2).route_batch(pairs)
-        large = RoutingService(mask, reach_cache_size=None).route_batch(pairs)
-        assert all(results_equal(a, b) for a, b in zip(small, large, strict=True))
+        for mode in AdaptiveRouter.MODES:
+            small = RoutingService(
+                mask, mode=mode, reach_cache_size=2
+            ).route_batch(pairs)
+            large = RoutingService(
+                mask, mode=mode, reach_cache_size=None
+            ).route_batch(pairs)
+            assert all(
+                results_equal(a, b) for a, b in zip(small, large, strict=True)
+            ), mode
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=15, deadline=None)

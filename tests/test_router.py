@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from repro.core.labelling import label_grid
 from repro.mesh.coords import manhattan
 from repro.mesh.regions import mask_of_cells
-from repro.routing.engine import AdaptiveRouter, explore_all_choices, route_adaptive
+from repro.routing.engine import AdaptiveRouter, explore_all_choices
 from repro.routing.policies import (
     DiagonalPolicy,
     FixedOrderPolicy,
@@ -21,19 +21,19 @@ from tests.conftest import oracle_feasible, random_mask
 class TestBasics:
     def test_fault_free_routes_minimally(self):
         mask = np.zeros((6, 6, 6), dtype=bool)
-        result = route_adaptive(mask, (0, 0, 0), (5, 5, 5))
+        result = AdaptiveRouter(mask).route((0, 0, 0), (5, 5, 5))
         assert result.delivered and result.is_minimal()
         assert result.hops == 15
 
     def test_path_is_monotone_per_direction_class(self):
         mask = np.zeros((6, 6), dtype=bool)
-        result = route_adaptive(mask, (5, 5), (0, 0))
+        result = AdaptiveRouter(mask).route((5, 5), (0, 0))
         assert result.delivered
         assert result.hops == 10
 
     def test_infeasible_reported(self):
         mask = mask_of_cells([(2, 2, 3)], (6, 6, 6))
-        result = route_adaptive(mask, (2, 2, 0), (2, 2, 5))
+        result = AdaptiveRouter(mask).route((2, 2, 0), (2, 2, 5))
         assert not result.delivered and not result.feasible
         assert result.reason == "infeasible"
 
@@ -48,7 +48,7 @@ class TestBasics:
         # A failed result, not an exception: dynamic-fault DES workloads
         # route to endpoints that died mid-run.
         mask = mask_of_cells([(0, 0)], (4, 4))
-        result = route_adaptive(mask, (0, 0), (3, 3))
+        result = AdaptiveRouter(mask).route((0, 0), (3, 3))
         assert not result.delivered and result.feasible is False
         assert result.reason == "endpoint faulty"
         assert result.path == [(0, 0)]

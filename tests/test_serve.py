@@ -4,9 +4,8 @@ Covers the four ISSUE-mandated serving contracts — batching-window
 determinism under a seeded clock, fault-event preemption vs in-flight
 requests (epoch parity with ``OnlineRoutingService.flush``),
 admission-control shedding, and facade parity with a direct
-``RoutingService`` — plus the :func:`make_service` flavour validation,
-the :class:`Ticket` compatibility shim, and the ``route_adaptive``
-deprecation.
+``RoutingService`` — plus the :func:`make_service` flavour validation
+and the :class:`Ticket` compatibility shim.
 """
 
 import asyncio
@@ -16,7 +15,6 @@ import pytest
 
 from repro.online import OnlineRoutingService, Ticket
 from repro.routing.batch import RoutingService
-from repro.routing.engine import route_adaptive
 from repro.serve import (
     AsyncRoutingService,
     ServiceOverloadError,
@@ -402,12 +400,3 @@ class TestTicket:
         ticket = online.submit((0, 0, 0), (5, 5, 5))
         assert ticket.epoch == 1
         assert repr(ticket) == f"Ticket(id={int(ticket)}, epoch=1)"
-
-
-class TestRouteAdaptiveDeprecation:
-    def test_route_adaptive_warns_but_works(self):
-        mask = np.zeros((5, 5), dtype=bool)
-        mask[2, 2] = True
-        with pytest.warns(DeprecationWarning, match="make_service"):
-            result = route_adaptive(mask, (0, 0), (4, 4))
-        assert result.delivered

@@ -5,7 +5,7 @@ import pytest
 
 from repro.mesh.regions import mask_of_cells
 from repro.mesh.topology import Mesh2D
-from repro.simkit.event_queue import EventQueue
+from repro.simkit.event_queue import EventQueue, HeapEventQueue
 from repro.simkit.message import Message
 from repro.simkit.network import MeshNetwork
 from repro.simkit.node import NodeProcess
@@ -129,6 +129,38 @@ class TestSimulator:
         sim.schedule(5.5, lambda: fired.append(("second", sim.now)))
         sim.run_to_quiescence()
         assert fired == [("first", 0.5), ("between", 0.5 + 0.1), ("second", 5.5)]
+
+    def test_non_default_queue_fires_in_default_order(self):
+        # A non-default queue takes the general loop; a chained
+        # schedule/cancel workload must fire in the same (now, action)
+        # order as on the default calendar queue.
+        def workload(sim):
+            rng = np.random.default_rng(7)
+            fired = []
+            handles = []
+
+            def make(name, depth):
+                def action():
+                    fired.append((sim.now, name))
+                    if depth == 3:
+                        return
+                    for k in range(2):
+                        delay = float(rng.choice([0.0, 0.25, 1.0, 3.5]))
+                        child = make(f"{name}.{k}", depth + 1)
+                        handles.append(sim.schedule(delay, child))
+                    if handles and rng.random() < 0.4:
+                        sim.cancel(handles[int(rng.integers(len(handles)))])
+
+                return action
+
+            for i in range(4):
+                sim.schedule(float(i % 2), make(str(i), 0))
+            sim.run_to_quiescence()
+            return fired, sim.events_processed
+
+        fired, processed = workload(Simulator())
+        assert workload(Simulator(queue=HeapEventQueue())) == (fired, processed)
+        assert 0 < processed < 4 * 15
 
 
 class _Echo(NodeProcess):
