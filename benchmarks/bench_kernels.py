@@ -1,8 +1,10 @@
 """K: micro-benchmarks of the core kernels (HPC-guide driven).
 
 Tracks the vectorized hot paths: labelling fixed point, monotone-flood
-DP, component extraction, wall construction, and the full per-class
-model build the router amortizes per direction class.
+DP (single floods and the batched reverse sweep the routing service
+primes its reach caches with, at 1 and 64 destinations per call),
+component extraction, wall construction, and the full per-class model
+build the router amortizes per direction class.
 
 Two front ends over the same kernel cases:
 
@@ -20,12 +22,31 @@ import os
 import time
 
 import numpy as np
+import pytest
 
 from repro.core.components import extract_mccs
 from repro.core.labelling import label_grid
 from repro.core.walls import build_walls
 from repro.experiments.workloads import random_fault_mask
-from repro.routing.oracle import monotone_flood, reverse_reachable
+from repro.routing.oracle import (
+    monotone_flood,
+    reverse_reachable,
+    reverse_reachable_many,
+)
+
+#: The batched reverse-flood cases: a 16^3 mesh with 200 faults (the
+#: route_hotspot pattern size), flooding 1 or 64 destinations per call.
+REVERSE_MANY_SHAPE = (16, 16, 16)
+REVERSE_MANY_FAULTS = 200
+REVERSE_MANY_BATCHES = (1, 64)
+
+
+def reverse_many_inputs(batch: int):
+    """The open mask and ``batch`` healthy destinations of a many-flood case."""
+    mask = random_fault_mask(REVERSE_MANY_SHAPE, REVERSE_MANY_FAULTS, rng=6)
+    healthy = np.argwhere(~mask)
+    picks = np.random.default_rng(6).choice(len(healthy), batch, replace=False)
+    return ~mask, [tuple(int(v) for v in healthy[i]) for i in picks]
 
 
 def test_kernel_labelling_2d_64(benchmark):
@@ -54,6 +75,14 @@ def test_kernel_reverse_reachable_3d(benchmark):
     assert out[19, 19, 19]
 
 
+@pytest.mark.parametrize("batch", REVERSE_MANY_BATCHES)
+def test_kernel_reverse_reachable_many_16(benchmark, batch):
+    open_mask, dests = reverse_many_inputs(batch)
+    out = benchmark(reverse_reachable_many, open_mask, dests)
+    assert out.shape == (batch, *REVERSE_MANY_SHAPE)
+    assert all(out[b][dest] for b, dest in enumerate(dests))
+
+
 def test_kernel_components_3d(benchmark):
     lab = label_grid(random_fault_mask((20, 20, 20), 400, rng=4))
     mccs = benchmark(extract_mccs, lab)
@@ -77,11 +106,18 @@ def build_cases() -> dict:
     rev_mask = random_fault_mask((20, 20, 20), 400, rng=3)
     comp_lab = label_grid(random_fault_mask((20, 20, 20), 400, rng=4))
     wall_mccs = extract_mccs(label_grid(random_fault_mask((12, 12, 12), 80, rng=5)))
+    many = {batch: reverse_many_inputs(batch) for batch in REVERSE_MANY_BATCHES}
     return {
         "labelling_2d_64": lambda: label_grid(mask_2d),
         "labelling_3d_20": lambda: label_grid(mask_3d),
         "oracle_flood_3d": lambda: monotone_flood(~flood_mask, seeds),
         "reverse_reachable_3d": lambda: reverse_reachable(~rev_mask, (19, 19, 19)),
+        **{
+            f"reverse_reachable_many_16_b{batch}": (
+                lambda inputs=inputs: reverse_reachable_many(*inputs)
+            )
+            for batch, inputs in many.items()
+        },
         "components_3d": lambda: extract_mccs(comp_lab),
         "walls_3d": lambda: build_walls(wall_mccs),
     }

@@ -12,9 +12,11 @@ the process skips the work entirely.
 
 Two granularities share one bounded LRU:
 
-* :func:`cached_labelled` — just the :class:`LabelledGrid` fixed point;
+* :func:`cached_labelled` — just the :class:`LabelledGrid` fixed point
+  (all the routing engine needs);
 * :func:`cached_class_assets` — labelled grid + extracted MCCs + walls
-  (what the engine and the condition evaluator consume).
+  (what the condition evaluator consumes, and the engine's class
+  models when their walls are first read).
 
 Cached arrays are frozen (``writeable=False``): every consumer treats
 model state as immutable, and the flag turns an accidental in-place

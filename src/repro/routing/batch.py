@@ -7,31 +7,44 @@ Routing them one at a time through a fresh router per pair would
 re-derive every piece of model state per pair: the ``LabelledGrid``,
 the MCC walls, and a reverse-reachability flood per destination.
 
-:class:`RoutingService` shares all of it:
+:class:`RoutingService` shares all of it, and routes the batch as
+arrays rather than pair by pair:
 
-* pairs are grouped by **direction class**, so each ``LabelledGrid`` +
-  wall set is built once per class (at most 2^n builds per batch);
-* within a class, pairs are grouped by **destination**, so one reverse
-  flood serves every pair headed there — and the grouped order makes
-  the engine's LRU-bounded reach caches hit even at tiny capacities;
-* the batch **feasibility check is vectorized**: the cached reach mask
-  is indexed at all sources of a group in one fancy-index operation
-  instead of one flood (or one mask probe) per pair;
-* per-destination reach masks are LRU-bounded (``reach_cache_size``),
-  so million-pair workloads do not grow memory without limit.
+* the **front half is vectorized**: faulty endpoints, direction classes
+  (``dest < source`` per axis) and canonical coordinates come from
+  numpy over the whole batch, which is then sorted into (class,
+  destination) groups, so each ``LabelledGrid`` + wall set is built
+  once per class and one reverse flood serves every pair headed to a
+  destination — the grouped order also makes the engine's LRU-bounded
+  reach caches hit even at tiny capacities;
+* a class's destinations are **primed in runs** of up to
+  ``PRIME_CHUNK``, each one batched wavefront sweep;
+* **feasibility and refusal reasons are vectorized**: each group's
+  reach mask is indexed at all its sources at once, with the same
+  verdicts as :meth:`AdaptiveRouter._infeasible_reason`;
+* the **forwarding walk runs in lockstep**: every feasible pair of a
+  block advances one hop per numpy step, reading candidate bits from
+  its group's stacked allowed-step mask, and the policy's
+  ``choose_many`` picks the axes.  Blocks hold at most ``WALK_CELLS``
+  stacked mask cells (plus one run), so transient memory does not grow
+  with the batch; the walk never writes into cached masks.
 
 Results are element-wise identical to per-pair
 :meth:`AdaptiveRouter.route` for stateless policies (fixed/diagonal —
-property-tested).  A stateful policy such as ``RandomPolicy`` draws in
-grouped order rather than input order, so individual paths may differ
-while delivery verdicts still agree with the model — unless the service
-is built with ``replay_policy=True``, which defers the forwarding walks
+property-tested), including ``max_hops`` budgets, blind-mode stuck
+paths and degenerate pairs.  Policies without ``choose_many`` take the
+scalar :meth:`AdaptiveRouter._forward` loop per pair, in grouped order.
+A stateful policy such as ``RandomPolicy`` therefore draws in grouped
+order rather than input order, so individual paths may differ while
+delivery verdicts still agree with the model — unless the service is
+built with ``replay_policy=True``, which defers the forwarding walks
 and replays them in input order: every policy draw then happens exactly
 when a per-call loop would make it, so batched paths match per-call
 paths element-wise even for stateful policies (feasibility checks never
 consume draws, and infeasible or faulty-endpoint pairs are resolved
 before any walk).  The deferred walks may re-flood destinations evicted
-from the LRU reach cache, so leave replay off for stateless policies.
+from the LRU reach cache, so leave replay off for stateless policies
+(it also forces the scalar walk).
 """
 
 from __future__ import annotations
@@ -41,6 +54,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from repro import obs
+from repro.core.labelling import FAULTY, SAFE
 from repro.mesh.coords import Coord
 from repro.mesh.orientation import Orientation
 from repro.routing.engine import (
@@ -51,20 +65,24 @@ from repro.routing.engine import (
 )
 from repro.routing.policies import Policy
 
-Pair = tuple[Coord, Coord]
-
 #: Destinations per batched reverse-flood kernel call.  Bounds the
-#: transient stacked-mask memory (chunk x mesh bools) while amortizing
-#: the DP's Python loops across the chunk.
+#: transient stacked-mask memory (chunk x mesh bools) while sharing one
+#: wavefront sweep across the chunk.
 PRIME_CHUNK = 64
+#: Cells of stacked allowed-step masks one lockstep walk holds at most
+#: (one byte each) beyond its last run: 2 MiB, 512 masks of a 16^3 mesh.
+WALK_CELLS = 1 << 21
 
 
-def _as_pair(pair: Sequence[Sequence[int]]) -> Pair:
-    source, dest = pair
-    return (
-        tuple(int(c) for c in source),
-        tuple(int(c) for c in dest),
-    )
+def _pairs_array(pairs: Iterable[Sequence[Sequence[int]]]) -> np.ndarray:
+    """The (source, dest) pairs as one ``(n, 2, ndim)`` integer array."""
+    pairs = list(pairs)
+    if not pairs:
+        return np.zeros((0, 2, 0), dtype=np.intp)
+    arr = np.asarray(pairs, dtype=np.intp)
+    if arr.ndim != 3 or arr.shape[1] != 2:
+        raise ValueError("pairs must be (source, dest) coordinate pairs")
+    return arr
 
 
 class RoutingService:
@@ -140,12 +158,20 @@ class RoutingService:
         self, pairs: Iterable[Sequence[Sequence[int]]]
     ) -> list[RouteResult]:
         """Route every (source, dest) pair; results in input order."""
-        pairs = [_as_pair(p) for p in pairs]
+        pairs = _pairs_array(pairs)
         with obs.span("route_batch", cat="routing", n=len(pairs)) as sp:
             results: list[RouteResult | None] = [None] * len(pairs)
+            plan = self._plan(pairs, results)
+            lockstep = not self.replay_policy and hasattr(
+                self.router.policy, "choose_many"
+            )
             deferred: list | None = [] if self.replay_policy else None
-            for orientation, model, members in self._grouped(pairs, results):
-                self._route_group(orientation, model, members, results, deferred)
+            for block in self._blocks(plan, lockstep):
+                go = self._decide(plan, block, results)
+                if lockstep:
+                    self._walk(plan, block, go, results)
+                else:
+                    self._walk_scalar(plan, block, go, results, deferred)
             if deferred is not None:
                 # Input order = the per-call draw order for stateful policies.
                 deferred.sort(key=lambda job: job[0])
@@ -166,148 +192,339 @@ class RoutingService:
         """
         if self.mode == "blind":
             raise ValueError("blind mode has no feasibility model")
-        pairs = [_as_pair(p) for p in pairs]
+        pairs = _pairs_array(pairs)
         with obs.span("feasible_batch", cat="routing", n=len(pairs)) as sp:
             out = np.zeros(len(pairs), dtype=bool)
             results: list[RouteResult | None] = [None] * len(pairs)
-            for _orientation, model, members in self._grouped(pairs, results):
-                for chunk in self._primed_chunks(model, members):
-                    for indices, sources, dest in chunk:
-                        out[indices] = self._group_feasible(model, sources, dest)
+            plan = self._plan(pairs, results)
+            for block in self._blocks(plan, False):
+                go = self._decide(plan, block, None)
+                out[plan.index[block.p0 : block.p1]] = go
             sp.set(feasible=int(out.sum()))
         return out
 
     # -- batch decomposition -----------------------------------------------
 
-    def _grouped(self, pairs: list[Pair], results: list[RouteResult | None]):
-        """Split pairs into per-direction-class groups.
+    def _plan(self, pairs: np.ndarray, results: list[RouteResult | None]) -> "_Plan":
+        """Vectorized front half: endpoint checks, classes, destination groups.
 
-        Faulty-endpoint pairs are resolved immediately into ``results``
-        (vectorized mesh-frame check) and excluded from the groups.
-        Yields ``(orientation, model, members)`` per class where
-        ``members`` is a list of (input_index, canonical_src,
-        canonical_dst, mesh_src).
+        Faulty-endpoint pairs are resolved immediately into ``results``.
+        The rest are sorted into (direction class, destination) groups:
+        classes in order of first appearance, destinations in order of
+        first appearance within their class, pairs in input order within
+        a group — the order the scalar walk draws policy choices in.
         """
+        shape = self.router.fault_mask.shape
+        ndim = len(shape)
+        plan = _Plan(shape, pairs[:, 0])
+        if not len(pairs):
+            return plan
+        src, dst = pairs[:, 0], pairs[:, 1]
         fault_mask = self.router.fault_mask
-        shape = fault_mask.shape
-        if not pairs:
-            return
-        arr = np.asarray(pairs, dtype=np.intp)  # (n, 2, ndim)
-        src_idx = tuple(arr[:, 0, a] for a in range(arr.shape[2]))
-        dst_idx = tuple(arr[:, 1, a] for a in range(arr.shape[2]))
-        endpoint_faulty = fault_mask[src_idx] | fault_mask[dst_idx]
+        faulty = fault_mask[tuple(src.T)] | fault_mask[tuple(dst.T)]
+        for i in np.flatnonzero(faulty).tolist():
+            results[i] = RouteResult(
+                delivered=False,
+                path=[plan.source(i)],
+                feasible=False,
+                reason="endpoint faulty",
+            )
+        live = np.flatnonzero(~faulty)
+        src, dst = src[live], dst[live]
+        # Direction class per pair: reflect the axes where dest < source.
+        neg = dst < src
+        top = np.asarray(shape, dtype=np.intp) - 1
+        s = np.where(neg, top - src, src)
+        d = np.where(neg, top - dst, dst)
+        code = neg @ (1 << np.arange(ndim))
+        key = code * plan.cells + np.ravel_multi_index(tuple(d.T), shape)
+        _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+        inverse = inverse.reshape(-1)
+        group_code = code[first]
+        class_first = np.full(1 << ndim, len(live))
+        np.minimum.at(class_first, group_code, first)
+        group_rank = np.empty(len(first), dtype=np.intp)
+        group_rank[np.lexsort((first, class_first[group_code]))] = np.arange(len(first))
+        group = group_rank[inverse]
+        order = np.argsort(group, kind="stable")
+        plan.index = live[order]
+        plan.neg, plan.s, plan.d = neg[order], s[order], d[order]
+        plan.bounds = np.searchsorted(group[order], np.arange(len(first) + 1))
+        heads = plan.bounds[:-1]
+        plan.dests = [tuple(c) for c in plan.d[heads].tolist()]
+        codes = code[order][heads].tolist()
 
-        by_class: dict[tuple[int, ...], list] = {}
-        for i, (source, dest) in enumerate(pairs):
-            if endpoint_faulty[i]:
+        chunk = PRIME_CHUNK
+        if self.router.reach_cache_size is not None:
+            chunk = min(chunk, self.router.reach_cache_size)
+        g0 = 0
+        while g0 < len(codes):
+            g1 = g0 + 1
+            while g1 < len(codes) and codes[g1] == codes[g0] and g1 - g0 < chunk:
+                g1 += 1
+            signs = tuple(-1 if codes[g0] >> a & 1 else 1 for a in range(ndim))
+            orientation = Orientation(signs, shape)
+            plan.runs.append(
+                _Run(orientation, self.router._model_for(orientation), g0, g1)
+            )
+            g0 = g1
+        return plan
+
+    def _blocks(self, plan: "_Plan", lockstep: bool):
+        """Consecutive runs, reach caches primed, with their walk masks.
+
+        Each run's reverse floods go through ONE batched sweep
+        (:meth:`_ClassModel.prime_reach`), and the run never exceeds
+        the LRU bound, so a primed mask is read before it can be
+        evicted.  A block stacks one allowed-step mask per group (per
+        run in blind mode, where the mask is just "not faulty").  The
+        scalar walk takes one run per block; the lockstep walk gathers
+        runs until the stacked masks reach ``WALK_CELLS`` cells, so its
+        transient memory stays bounded whatever the batch size.
+        """
+        limit = max(1, WALK_CELLS // plan.cells) if lockstep else 1
+        blind = self.mode == "blind"
+        runs: list[_Run] = []
+        masks: list[np.ndarray] = []
+        rows: list[int] = []
+        for run in plan.runs:
+            model = run.model
+            if blind:
+                rows.extend([len(masks)] * (run.g1 - run.g0))
+                masks.append(model.labelled.status != FAULTY)
+            else:
+                dests = plan.dests[run.g0 : run.g1]
+                model.prime_reach(dests)
+                rows.extend(range(len(masks), len(masks) + len(dests)))
+                masks.extend(model.reach_mask(dest) for dest in dests)
+            runs.append(run)
+            if len(masks) >= limit:
+                yield _Block(plan, runs, masks, rows)
+                runs, masks, rows = [], [], []
+        if runs:
+            yield _Block(plan, runs, masks, rows)
+
+    def _decide(
+        self,
+        plan: "_Plan",
+        block: "_Block",
+        results: list[RouteResult | None] | None,
+    ) -> np.ndarray:
+        """Which of the block's pairs walk; refusals go into ``results``.
+
+        The same verdicts and reasons as
+        :meth:`AdaptiveRouter._infeasible_reason`: an endpoint the model
+        does not mark safe, then a source the model blocks or from which
+        the destination is unreachable (``source == dest`` always
+        passes).  Blind mode refuses nothing.
+        """
+        p0, p1 = block.p0, block.p1
+        if self.mode == "blind":
+            return np.ones(p1 - p0, dtype=bool)
+        s, d = plan.s[p0:p1], plan.d[p0:p1]
+        unsafe = np.zeros(p1 - p0, dtype=bool)
+        blocked = np.zeros(p1 - p0, dtype=bool)
+        for run in block.runs:
+            lo, hi = plan.bounds[run.g0] - p0, plan.bounds[run.g1] - p0
+            status = run.model.labelled.status
+            src, dst = tuple(s[lo:hi].T), tuple(d[lo:hi].T)
+            unsafe[lo:hi] = (status[src] != SAFE) | (status[dst] != SAFE)
+            blocked[lo:hi] = run.model._blocked[src]
+        reach = block.masks.reshape(-1)[
+            block.rows * plan.cells + np.ravel_multi_index(tuple(s.T), plan.shape)
+        ]
+        infeasible = ~unsafe & (s != d).any(axis=1) & (blocked | ~reach)
+        if results is not None:
+            index = plan.index[p0:p1]
+            for k in np.flatnonzero(unsafe | infeasible).tolist():
+                i = int(index[k])
                 results[i] = RouteResult(
                     delivered=False,
-                    path=[source],
+                    path=[plan.source(i)],
                     feasible=False,
-                    reason="endpoint faulty",
+                    reason=(
+                        "endpoint inside fault region" if unsafe[k] else "infeasible"
+                    ),
                 )
-                continue
-            signs = Orientation.for_pair(source, dest, shape).signs
-            by_class.setdefault(signs, []).append((i, source, dest))
-        for signs, items in by_class.items():
-            orientation = Orientation(signs, tuple(shape))
-            model = self.router._model_for(orientation)
-            members = [
-                (i, orientation.map_coord(src), orientation.map_coord(dst), src)
-                for i, src, dst in items
-            ]
-            yield orientation, model, members
+        return ~(unsafe | infeasible)
 
-    @staticmethod
-    def _dest_groups(members: list):
-        """Regroup one class's members by canonical destination.
-
-        Yields ``(indices, sources, dest)`` with ``indices`` an int array
-        of input positions and ``sources`` the canonical source coords.
-        """
-        by_dest: dict[Coord, list] = {}
-        for i, s, d, src in members:
-            by_dest.setdefault(d, []).append((i, s, src))
-        for dest, group in by_dest.items():
-            indices = np.asarray([g[0] for g in group], dtype=np.intp)
-            sources = [g[1] for g in group]
-            yield indices, sources, dest
-
-    def _group_feasible(
-        self, model: _ClassModel, sources: list[Coord], dest: Coord
-    ) -> np.ndarray:
-        """Model verdicts for many sources sharing one destination.
-
-        One cached flood + one fancy-index per group, replacing a mask
-        probe per pair.
-        """
-        coords = tuple(np.asarray(sources, dtype=np.intp).T)
-        # Safe endpoints, then model reachability.
-        safe = model.labelled.safe_mask
-        ok = np.full(len(sources), bool(safe[dest]), dtype=bool)
-        if ok.any():
-            ok &= safe[coords]
-        if ok.any():
-            ok &= model.reach_mask(dest)[coords]
-        return ok
-
-    def _route_group(
+    def _walk_scalar(
         self,
-        orientation: Orientation,
-        model: _ClassModel,
-        members: list,
+        plan: "_Plan",
+        block: "_Block",
+        go: np.ndarray,
         results: list[RouteResult | None],
-        deferred: list | None = None,
+        deferred: list | None,
     ) -> None:
-        """Route one direction-class group, destination-major.
+        """Per-pair forwarding through :meth:`AdaptiveRouter._forward`.
 
-        With ``deferred`` given, feasible pairs are queued as
-        ``(index, model, orientation, src, dst)`` forwarding jobs
-        instead of walked inline (policy-replay mode).
+        For policies without ``choose_many`` (stateful ones draw one
+        choice at a time).  With ``deferred`` given, feasible pairs are
+        queued as ``(index, model, orientation, src, dst)`` jobs instead
+        of walked inline (policy-replay mode).
         """
-        router = self.router
-        by_index = {m[0]: m for m in members}
-        for chunk in self._primed_chunks(model, members):
-            for indices, sources, dest in chunk:
-                if self.mode == "blind":
-                    feasible = None
+        p0 = block.p0
+        for run in block.runs:
+            lo, hi = plan.bounds[run.g0], plan.bounds[run.g1]
+            index = plan.index[lo:hi].tolist()
+            s, d = plan.s[lo:hi].tolist(), plan.d[lo:hi].tolist()
+            for k in np.flatnonzero(go[lo - p0 : hi - p0]).tolist():
+                job = (index[k], run.model, run.orientation, tuple(s[k]), tuple(d[k]))
+                if deferred is not None:
+                    deferred.append(job)
                 else:
-                    feasible = self._group_feasible(model, sources, dest)
-                for k, idx in enumerate(indices):
-                    _, s, d, src = by_index[int(idx)]
-                    if feasible is not None and not feasible[k]:
-                        # Match route()'s refusal reason exactly.
-                        reason = router._infeasible_reason(model, s, d)
-                        results[int(idx)] = RouteResult(
-                            delivered=False,
-                            path=[src],
-                            feasible=False,
-                            reason=reason or "infeasible",
-                        )
-                        continue
-                    if deferred is not None:
-                        deferred.append((int(idx), model, orientation, s, d))
-                    else:
-                        results[int(idx)] = router._forward(model, orientation, s, d)
+                    results[index[k]] = self.router._forward(*job[1:])
 
-    def _primed_chunks(self, model: _ClassModel, members: list):
-        """Destination groups in chunks, reach caches pre-warmed per chunk.
+    def _walk(
+        self,
+        plan: "_Plan",
+        block: "_Block",
+        go: np.ndarray,
+        results: list[RouteResult | None],
+    ) -> None:
+        """Lockstep forwarding: every walking pair advances one hop per step.
 
-        Each chunk's reverse floods run as ONE batched DP
-        (:func:`repro.routing.oracle.reverse_reachable_many`) instead of
-        one Python-loop flood per destination; the chunk size never
-        exceeds the LRU bound, so a primed mask cannot be evicted before
-        its group is processed.
+        Pairs are ordered by distance, longest first, so the pairs still
+        walking at hop ``k`` (every minimal walk ends exactly at its
+        distance) are a prefix of the arrays.  A step gathers each
+        pair's candidate bits — the +1 neighbour's bit in its group's
+        allowed-step mask, on the axes where it still trails its
+        destination — and the policy's ``choose_many`` picks one axis per
+        pair.  Pairs left without a candidate stop ("stuck"); with
+        ``max_hops`` set, pairs still walking after that many hops stop
+        with "hop budget exceeded".  Paths leave as mesh-frame tuples.
+
+        The scalar rule lets any step onto a non-faulty destination; the
+        mask bit there agrees, because a walking pair's destination
+        passed the safe-endpoint check and a safe cell is open in every
+        model (blind masks are "not faulty" throughout).  The walk only
+        reads the stacked copy, never the cached masks.
         """
-        groups = list(self._dest_groups(members))
-        chunk = PRIME_CHUNK
-        cache_bound = self.router.reach_cache_size
-        if cache_bound is not None:
-            chunk = min(chunk, cache_bound)
-        for start in range(0, len(groups), chunk):
-            block = groups[start : start + chunk]
-            dests = [dest for _indices, _sources, dest in block]
-            if self.mode != "blind":
-                model.prime_reach(dests)
-            yield block
+        walking = block.p0 + np.flatnonzero(go)
+        if not len(walking):
+            return
+        cells = plan.cells
+        blind = self.mode == "blind"
+        row = block.rows[walking - block.p0]
+        s, d = plan.s[walking], plan.d[walking]
+        dist = (d - s).sum(axis=1)
+        order = np.argsort(-dist, kind="stable")
+        walking, row, dist = walking[order], row[order], dist[order]
+        s, d = s[order], d[order]
+        strides = np.asarray(
+            [int(np.prod(plan.shape[a + 1 :])) for a in range(len(plan.shape))],
+            dtype=np.intp,
+        )
+        max_hops = self.router.max_hops
+        steps = int(dist[0]) if max_hops is None else min(int(dist[0]), max_hops)
+        here = row * cells + s @ strides
+        hist = np.empty((len(walking), steps + 1), dtype=np.intp)
+        hist[:] = here[:, None]
+        length = dist + 1
+        stuck = np.zeros(len(walking), dtype=bool)
+        active = np.searchsorted(-dist, -np.arange(steps), side="left").tolist()
+        flat_masks = block.masks.reshape(-1)
+        pos = s.copy()
+        lanes = np.arange(len(walking))
+        choose = self.router.policy.choose_many
+        any_stuck = False
+        for k in range(steps):
+            m = active[k]
+            p, t = pos[:m], d[:m]
+            trails = p < t
+            cand = flat_masks[here[:m, None] + trails * strides]
+            cand &= trails
+            moves = cand.any(axis=1)
+            if not moves.all():
+                fresh = ~moves & ~stuck[:m]
+                length[:m][fresh] = k + 1
+                stuck[:m] |= fresh
+                any_stuck = True
+            axis = choose(cand, p, t)
+            if any_stuck:
+                # Stuck pairs stay in the prefix but never move again.
+                axis_step = strides[axis] * moves
+                p[lanes[:m], axis] += moves
+            else:
+                axis_step = strides[axis]
+                p[lanes[:m], axis] += 1
+            here[:m] += axis_step
+            hist[:m, k + 1] = here[:m]
+        over = ~stuck & (dist > steps)
+        length[over] = steps + 1
 
+        # Every path's cells, concatenated, to mesh-frame tuples at once.
+        taken = np.arange(steps + 1) < length[:, None]
+        canon = (hist - (row * cells)[:, None])[taken]
+        coords = np.stack(np.unravel_index(canon, plan.shape), axis=-1)
+        flip = np.repeat(plan.neg[walking], length, axis=0)
+        top = np.asarray(plan.shape, dtype=np.intp) - 1
+        axes = np.where(flip, top - coords, coords).T.tolist()
+        mesh = list(zip(*axes, strict=True))
+        ends = np.cumsum(length).tolist()
+        verdict = None if blind else True
+        start = 0
+        failed = (stuck | over).tolist()
+        for k, i in enumerate(plan.index[walking].tolist()):
+            path = mesh[start : ends[k]]
+            start = ends[k]
+            if failed[k]:
+                results[i] = RouteResult(
+                    delivered=False,
+                    path=path,
+                    feasible=verdict,
+                    stuck_at=path[-1],
+                    reason="stuck" if stuck[k] else "hop budget exceeded",
+                )
+            else:
+                results[i] = RouteResult(delivered=True, path=path, feasible=True)
+
+
+class _Run:
+    """One class's consecutive destination groups, primed together."""
+
+    __slots__ = ("orientation", "model", "g0", "g1")
+
+    def __init__(self, orientation: Orientation, model: _ClassModel, g0: int, g1: int):
+        self.orientation, self.model, self.g0, self.g1 = orientation, model, g0, g1
+
+
+class _Plan:
+    """A batch's live pairs sorted into (class, destination) groups.
+
+    Per sorted pair: ``index`` (input position), ``neg`` (reflected
+    axes), canonical ``s``/``d``.  Group ``g`` holds the sorted pairs
+    ``bounds[g]:bounds[g + 1]`` and heads for ``dests[g]``; ``runs``
+    cover the groups in order.
+    """
+
+    def __init__(self, shape: tuple[int, ...], sources: np.ndarray):
+        ndim = len(shape)
+        self.shape = shape
+        self.cells = int(np.prod(shape))
+        self.sources = sources
+        self.index = np.zeros(0, dtype=np.intp)
+        self.neg = np.zeros((0, ndim), dtype=bool)
+        self.s = self.d = np.zeros((0, ndim), dtype=np.intp)
+        self.bounds = np.zeros(1, dtype=np.intp)
+        self.dests: list[Coord] = []
+        self.runs: list[_Run] = []
+
+    def source(self, i: int) -> Coord:
+        """Input pair ``i``'s source (mesh frame)."""
+        return tuple(self.sources[i].tolist())
+
+
+class _Block:
+    """Consecutive runs plus their stacked allowed-step masks.
+
+    ``masks[rows[k]]`` is the mask the block's ``k``-th pair walks on.
+    """
+
+    def __init__(self, plan: _Plan, runs: list[_Run], masks: list, rows: list[int]):
+        self.runs = runs
+        self.p0 = int(plan.bounds[runs[0].g0])
+        self.p1 = int(plan.bounds[runs[-1].g1])
+        self.masks = np.stack(masks).reshape(len(masks), plan.cells)
+        sizes = np.diff(plan.bounds[runs[0].g0 : runs[-1].g1 + 1])
+        self.rows = np.repeat(np.asarray(rows, dtype=np.intp), sizes)

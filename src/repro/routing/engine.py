@@ -21,21 +21,28 @@ shares the per-destination reach cache and code path of mcc/rfb.
 
 All model state is cached: one ``_ClassModel`` per direction class and
 one reverse-reachability mask per destination (LRU-bounded, see
-``reach_cache_size``).  :mod:`repro.routing.batch` exploits exactly these
-caches to route many pairs over one pattern without redundant work.
+``reach_cache_size``), each computed by the oracle's wavefront sweep.
+:mod:`repro.routing.batch` exploits exactly these caches to route many
+pairs over one pattern without redundant work: it walks whole batches
+in lockstep over stacked reach masks.  The scalar loop here
+(:meth:`AdaptiveRouter._forward`) stays the reference: ``route`` always
+uses it, and so does the batch service for policies without a
+vectorized ``choose_many`` (``RandomPolicy``, custom policies) and in
+policy-replay mode.  The parity suites compare the two walks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from functools import partial
+from typing import Callable, Sequence
 
 import numpy as np
 
 from repro.baselines.rfb import rfb_labelled
 from repro.core.components import extract_mccs
 from repro.core.labelling import FAULTY, SAFE, USELESS, LabelledGrid, label_grid
-from repro.core.model_cache import cached_class_assets
+from repro.core.model_cache import cached_class_assets, cached_labelled
 from repro.core.walls import Wall, build_walls
 from repro.mesh.coords import Coord, manhattan
 from repro.mesh.orientation import Orientation
@@ -89,9 +96,10 @@ class _ClassModel:
     evaluates the routing rule in that distilled form — one cached
     reverse flood per destination — while the message-passing layer in
     :mod:`repro.distributed` realizes the same decisions with literal
-    per-node boundary records.  The wall structures stay available for
-    the fidelity experiments (T5), which measure how closely the paper's
-    region-membership forms track this exact rule.
+    per-node boundary records.  The wall structures stay available (built
+    on first read of :attr:`walls`) for the fidelity experiments (T5),
+    which measure how closely the paper's region-membership forms track
+    this exact rule.
 
     Can't-reach cells are *not* excluded here: they cannot be entered
     from within the direction class (a safe node's positive neighbor is
@@ -103,7 +111,7 @@ class _ClassModel:
     def __init__(
         self,
         labelled: LabelledGrid,
-        walls: list[Wall],
+        walls: list[Wall] | Callable[[], list[Wall]],
         labeller=label_grid,
         reach_cache_size: int | None = DEFAULT_REACH_CACHE_SIZE,
         blocked: np.ndarray | None = None,
@@ -113,9 +121,11 @@ class _ClassModel:
         """``blocked``/``open_mask``/``unsafe`` override the masks
         normally derived from ``labelled.status`` — the online router
         passes its dynamic class's live arrays here so fault events
-        update the model in place instead of rebuilding it."""
+        update the model in place instead of rebuilding it.  ``walls``
+        may be a zero-argument function: routing never reads the walls,
+        so they are built on first use only."""
         self.labelled = labelled
-        self.walls = walls
+        self._walls = walls
         self.labeller = labeller
         self.unsafe = labelled.unsafe_mask if unsafe is None else unsafe
         status = labelled.status
@@ -126,6 +136,12 @@ class _ClassModel:
         # Reverse-reachability through permitted cells, per destination
         # (LRU-bounded: million-pair workloads touch many destinations).
         self._reach: LRUCache[Coord, np.ndarray] = LRUCache(reach_cache_size)
+
+    @property
+    def walls(self) -> list[Wall]:
+        if callable(self._walls):
+            self._walls = self._walls()
+        return self._walls
 
     def reach_mask(self, dest: Coord) -> np.ndarray:
         """Cells that can still reach ``dest`` through permitted cells.
@@ -148,7 +164,9 @@ class _ClassModel:
             return
         stacked = reverse_reachable_many(self._open, missing)
         for dest, mask in zip(missing, stacked, strict=True):
-            mask = np.ascontiguousarray(mask)
+            # A copy, not a view: an evicted mask must free its own
+            # memory, not stay pinned by a sibling of the same sweep.
+            mask = mask.copy()
             mask.setflags(write=False)
             self._reach.put(dest, mask)
 
@@ -187,6 +205,28 @@ class _ClassModel:
     def endpoints_safe(self, source: Coord, dest: Coord) -> bool:
         status = self.labelled.status
         return bool(status[source] == SAFE and status[dest] == SAFE)
+
+
+def _class_walls(
+    labelled: LabelledGrid,
+    orientation: Orientation,
+    labeller,
+    kind: str,
+    fault_mask: np.ndarray | None,
+) -> list[Wall]:
+    """A class model's walls, built on first use.
+
+    With ``fault_mask`` given they come from the label cache when it
+    holds this very labelled grid, so every consumer of the pattern
+    shares one wall set.
+    """
+    if fault_mask is not None:
+        cached, _, walls = cached_class_assets(
+            fault_mask, orientation, labeller=labeller, kind=kind
+        )
+        if cached is labelled:
+            return walls
+    return build_walls(extract_mccs(labelled))
 
 
 class AdaptiveRouter:
@@ -241,13 +281,16 @@ class AdaptiveRouter:
                     # mask as it is *now*, so the cached labelling
                     # always matches the labelled content even when a
                     # caller mutates its mask array between builds.
-                    labelled, _, walls = cached_class_assets(
+                    labelled = cached_labelled(
                         self.fault_mask, orientation,
                         labeller=labeller, kind=self.mode,
                     )
                 else:
                     labelled = labeller(self.fault_mask, orientation)
-                    walls = build_walls(extract_mccs(labelled))
+                walls = partial(
+                    _class_walls, labelled, orientation, labeller, self.mode,
+                    self.fault_mask if self.label_cache else None,
+                )
             else:
                 # oracle/blind consult only the fault mask: skip the
                 # labelling fixed point and mark faults directly.
@@ -309,7 +352,10 @@ class AdaptiveRouter:
     def _forward(
         self, model: _ClassModel, orientation: Orientation, s: Coord, d: Coord
     ) -> RouteResult:
-        """Hop-by-hop forwarding loop after a passed (or absent) check."""
+        """Hop-by-hop forwarding loop after a passed (or absent) check.
+
+        The scalar reference walk: one pair, one policy call per hop.
+        """
         pos = s
         canonical_path = [pos]
         budget = self.max_hops if self.max_hops is not None else manhattan(s, d) + 1

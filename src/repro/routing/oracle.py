@@ -4,16 +4,21 @@ In the canonical direction class, a *minimal* path from ``s`` to ``d``
 (component-wise ``s <= d``) is exactly a monotone lattice path: every hop
 is +1 along some axis.  Minimal-path existence through a set of open
 (non-blocked) nodes is therefore a DAG-reachability problem, solved here
-with a vectorized dynamic program:
+with one vectorized dynamic program, an anti-diagonal wavefront:
 
-* slabs along axis 0 are processed in order;
-* within a slab, reachability is the (n-1)-dimensional sub-problem,
-  seeded by the cells carried over from the previous slab;
-* the 1-D base case propagates reachability through open runs with a
-  per-index vectorized loop over stacked rows.
+* a cell's monotone reachability depends only on its -1 neighbours,
+  which all lie on the previous plane ``sum(coords) = t - 1``, so the
+  planes are swept in order, one numpy step each — ``sum(shape) - ndim
+  + 1`` steps in all, whatever the mesh volume;
+* the cells are stored in plane order, so each plane is a contiguous
+  slice and its predecessors are one precomputed gather (the per-shape
+  plan is cached);
+* up to 64 floods share one ``uint64`` word per cell, one bit each, so
+  a batch of seed masks costs about what a single flood does.
 
-Complexity O(n · N) with numpy inner loops only over mesh extents (per
-the HPC guides: vectorize the innermost dimension, iterate the outer).
+Reverse reachability is the same sweep run from the far corner: in the
+all-axes-flipped frame it is a forward flood, and flipping a C-ordered
+flat index is ``N - 1 - index``, so the plan serves both directions.
 
 Every claim of the paper is validated against this module: the labelled
 unsafe region must not change reachability (P1), Theorems 1/2 must agree
@@ -22,6 +27,7 @@ with it (P2), and the router must deliver whenever it says YES (P3).
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -30,41 +36,118 @@ from repro import obs
 from repro.mesh.orientation import Orientation
 from repro.mesh.regions import Box
 
+#: Bit-packed flood state: one little-endian word holds 64 floods' bits.
+_WORD = np.dtype("<u8")
+_WORD_BITS = 64
+_ALL_ONES = np.array(~np.uint64(0), dtype=_WORD)
 
-def _flood_1d_rows(open_rows: np.ndarray, seed_rows: np.ndarray) -> np.ndarray:
-    """Monotone flood along the last axis for stacked rows.
 
-    ``open_rows`` and ``seed_rows`` have shape (..., k); the result marks
-    cells reachable from a seed by repeated +1 steps through open cells.
+class _WavefrontPlan:
+    """Per-shape index tables of the wavefront sweep.
+
+    Cells are numbered in *plane order* (stable-sorted by coordinate
+    sum), so plane ``t`` is the slot range ``[lo, hi)``.  ``planes``
+    lists, for every plane after the first, its range and the slots of
+    each cell's -1 neighbour per axis (slot ``n``, an all-zero row, where
+    the cell sits on the axis' low face).  ``cells[reverse]`` maps a slot
+    to its C-order flat index in the forward or flipped frame, and
+    ``slots[reverse]`` is the inverse map.
     """
-    out = np.zeros_like(seed_rows, dtype=bool)
-    k = open_rows.shape[-1]
-    carry = np.zeros(open_rows.shape[:-1], dtype=bool)
-    for x in range(k):
-        carry = open_rows[..., x] & (seed_rows[..., x] | carry)
-        out[..., x] = carry
-    return out
+
+    def __init__(self, shape: tuple[int, ...]):
+        n = int(np.prod(shape))
+        coords = np.indices(shape).reshape(len(shape), n)
+        plane = coords.sum(axis=0)
+        order = np.argsort(plane, kind="stable")
+        rank = np.empty(n, dtype=np.intp)
+        rank[order] = np.arange(n)
+        preds = np.full((len(shape), n), n, dtype=np.intp)
+        stride = 1
+        for axis in reversed(range(len(shape))):
+            inner = coords[axis, order] > 0
+            preds[axis, inner] = rank[order[inner] - stride]
+            stride *= shape[axis]
+        bounds = np.searchsorted(plane[order], np.arange(int(plane.max()) + 2))
+        self.n = n
+        self.cells = {False: order, True: n - 1 - order}
+        self.slots = {False: rank, True: np.ascontiguousarray(rank[::-1])}
+        self.planes = [
+            (int(lo), int(hi), preds[:, lo:hi])
+            for lo, hi in zip(bounds[1:-1], bounds[2:], strict=True)
+        ]
+        # Plans are shared by every caller through the cache: read-only.
+        for table in (order, rank, preds, *self.cells.values(), *self.slots.values()):
+            table.setflags(write=False)
+
+
+@lru_cache(maxsize=32)
+def _plan(shape: tuple[int, ...]) -> _WavefrontPlan:
+    return _WavefrontPlan(shape)
+
+
+def _wavefront(
+    open_mask: np.ndarray, seed_words: np.ndarray, reverse: bool
+) -> np.ndarray:
+    """Bit-parallel monotone flood (the one kernel behind this module).
+
+    ``seed_words`` is ``(N, W)`` words in C-order flat layout, bit ``b``
+    of word ``b // 64`` seeding flood ``b``.  Returns the reached bits
+    in the same layout: forward floods follow +1 moves, ``reverse``
+    floods -1 moves (cells that can reach a seed).
+    """
+    plan = _plan(open_mask.shape)
+    cells = plan.cells[reverse]
+    open_words = np.where(open_mask.reshape(-1)[cells], _ALL_ONES, 0).astype(_WORD)
+    open_words = open_words[:, None]
+    state = np.zeros((plan.n + 1, seed_words.shape[1]), dtype=_WORD)
+    np.bitwise_and(seed_words[cells], open_words, out=state[: plan.n])
+    for lo, hi, preds in plan.planes:
+        reached = np.bitwise_or.reduce(state[preds], axis=0)
+        reached &= open_words[lo:hi]
+        state[lo:hi] |= reached
+    return state[plan.slots[reverse]]
+
+
+def _pack_seeds(seed_masks: np.ndarray) -> np.ndarray:
+    """(B, *shape) bool seed masks -> (N, ceil(B/64)) flood words."""
+    batch = seed_masks.shape[0]
+    packed = np.packbits(seed_masks.reshape(batch, -1), axis=0, bitorder="little")
+    words = np.zeros((packed.shape[1], -(-batch // _WORD_BITS) * 8), dtype=np.uint8)
+    words[:, : packed.shape[0]] = packed.T
+    return words.view(_WORD)
+
+
+def _unpack(words: np.ndarray, batch: int, shape: tuple[int, ...]) -> np.ndarray:
+    """(N, W) flood words -> (batch, *shape) contiguous bool masks."""
+    bits = np.unpackbits(words.view(np.uint8), axis=1, count=batch, bitorder="little")
+    return np.ascontiguousarray(bits.T).view(bool).reshape((batch, *shape))
+
+
+def _flood_masks(open_mask: np.ndarray, seed_masks: np.ndarray) -> np.ndarray:
+    """Forward floods of stacked seed masks (validated shapes)."""
+    open_mask = np.asarray(open_mask, dtype=bool)
+    seed_masks = np.asarray(seed_masks, dtype=bool)
+    if seed_masks.shape[1:] != open_mask.shape:
+        raise ValueError(
+            f"seed batch shape {seed_masks.shape} must be (B, *{open_mask.shape})"
+        )
+    if not len(seed_masks):
+        return np.zeros(seed_masks.shape, dtype=bool)
+    words = _wavefront(open_mask, _pack_seeds(seed_masks), False)
+    return _unpack(words, seed_masks.shape[0], open_mask.shape)
 
 
 def monotone_flood(open_mask: np.ndarray, seed_mask: np.ndarray) -> np.ndarray:
     """Cells reachable from any seed via monotone (+1 per hop) moves.
 
     Seeds must themselves be open to be reachable.  Works for any
-    dimension; 1-D is the stacked-row base case.
+    dimension.
     """
     open_mask = np.asarray(open_mask, dtype=bool)
     seed_mask = np.asarray(seed_mask, dtype=bool)
     if open_mask.shape != seed_mask.shape:
         raise ValueError("open and seed masks must share a shape")
-    if open_mask.ndim == 1:
-        return _flood_1d_rows(open_mask, seed_mask)
-    out = np.zeros_like(open_mask, dtype=bool)
-    carry = np.zeros(open_mask.shape[1:], dtype=bool)
-    for x0 in range(open_mask.shape[0]):
-        slab = monotone_flood(open_mask[x0], seed_mask[x0] | carry)
-        out[x0] = slab
-        carry = slab
-    return out
+    return _flood_masks(open_mask, seed_mask[None])[0]
 
 
 def monotone_flood_reference(
@@ -95,41 +178,21 @@ def monotone_flood_many(open_mask: np.ndarray, seed_masks: np.ndarray) -> np.nda
     """Batched monotone flood: one open mask, many seed masks.
 
     ``seed_masks`` has shape (B, *open_mask.shape); the result marks, per
-    batch entry, the cells reachable from that entry's seeds.  The DP is
-    the same slab recursion as :func:`monotone_flood` but every numpy
-    operation carries the batch axis, so the Python-loop overhead is paid
-    once per slab for B floods — the kernel behind the batch routing
-    service's grouped reverse floods.
+    batch entry, the cells reachable from that entry's seeds.  All B
+    floods share one wavefront sweep (64 per word of state), so the
+    batch costs about what one flood does — the kernel behind the batch
+    routing service's grouped reverse floods.
     """
-    open_mask = np.asarray(open_mask, dtype=bool)
     seed_masks = np.asarray(seed_masks, dtype=bool)
-    if seed_masks.shape[1:] != open_mask.shape:
-        raise ValueError(
-            f"seed batch shape {seed_masks.shape} must be (B, *{open_mask.shape})"
-        )
-    # The span wraps the whole batched DP once; the slab recursion lives
-    # in the private helper so nested self-calls do not emit per-slab spans.
-    with obs.span(
-        "monotone_flood_many", cat="kernel",
-        batch=int(seed_masks.shape[0]), shape=list(open_mask.shape),
-    ):
-        return _monotone_flood_many_rec(open_mask, seed_masks)
+    with _flood_span(seed_masks.shape[0], np.shape(open_mask)):
+        return _flood_masks(open_mask, seed_masks)
 
 
-def _monotone_flood_many_rec(
-    open_mask: np.ndarray, seed_masks: np.ndarray
-) -> np.ndarray:
-    if open_mask.ndim == 1:
-        return _flood_1d_rows(
-            np.broadcast_to(open_mask, seed_masks.shape), seed_masks
-        )
-    out = np.zeros_like(seed_masks)
-    carry = np.zeros((seed_masks.shape[0],) + open_mask.shape[1:], dtype=bool)
-    for x0 in range(open_mask.shape[0]):
-        slab = _monotone_flood_many_rec(open_mask[x0], seed_masks[:, x0] | carry)
-        out[:, x0] = slab
-        carry = slab
-    return out
+def _flood_span(batch: int, shape: tuple[int, ...]):
+    """The ``monotone_flood_many`` kernel span over one batched sweep."""
+    return obs.span(
+        "monotone_flood_many", cat="kernel", batch=int(batch), shape=list(shape),
+    )
 
 
 def _seed_at(shape: Sequence[int], coord: Sequence[int]) -> np.ndarray:
@@ -143,17 +206,25 @@ def forward_reachable(open_mask: np.ndarray, source: Sequence[int]) -> np.ndarra
     return monotone_flood(open_mask, _seed_at(open_mask.shape, source))
 
 
-def reverse_reachable(open_mask: np.ndarray, dest: Sequence[int]) -> np.ndarray:
-    """Cells from which ``dest`` is monotonically reachable.
+def _reverse_flood(open_mask: np.ndarray, dests: Sequence[Sequence[int]]) -> np.ndarray:
+    """One reverse sweep, destination ``b`` seeding flood bit ``b``."""
+    open_mask = np.asarray(open_mask, dtype=bool)
+    batch = len(dests)
+    if not batch:
+        return np.zeros((0, *open_mask.shape), dtype=bool)
+    words = np.zeros((open_mask.size, -(-batch // _WORD_BITS)), dtype=_WORD)
+    flat = np.ravel_multi_index(np.asarray(dests, dtype=np.intp).T, open_mask.shape)
+    bits = np.arange(batch)
+    np.bitwise_or.at(
+        words, (flat, bits // _WORD_BITS),
+        np.left_shift(np.uint64(1), (bits % _WORD_BITS).astype(np.uint64)),
+    )
+    return _unpack(_wavefront(open_mask, words, True), batch, open_mask.shape)
 
-    Computed by flipping every axis and flooding forward from the flipped
-    destination (numpy flips are views — no copies).
-    """
-    axes = tuple(range(open_mask.ndim))
-    flipped_open = np.flip(open_mask, axis=axes)
-    flipped_dest = tuple(k - 1 - c for c, k in zip(dest, open_mask.shape, strict=True))
-    flooded = monotone_flood(flipped_open, _seed_at(open_mask.shape, flipped_dest))
-    return np.flip(flooded, axis=axes)
+
+def reverse_reachable(open_mask: np.ndarray, dest: Sequence[int]) -> np.ndarray:
+    """Cells from which ``dest`` is monotonically reachable."""
+    return _reverse_flood(open_mask, [dest])[0]
 
 
 def reverse_reachable_many(
@@ -161,18 +232,11 @@ def reverse_reachable_many(
 ) -> np.ndarray:
     """Stacked :func:`reverse_reachable` masks, one per destination.
 
-    Returns shape (len(dests), *open_mask.shape).  Equivalent to calling
-    :func:`reverse_reachable` per destination but amortizes the DP's
-    Python loops across the whole batch.
+    Returns shape (len(dests), *open_mask.shape), all from one reverse
+    wavefront sweep.
     """
-    open_mask = np.asarray(open_mask, dtype=bool)
-    axes = tuple(range(open_mask.ndim))
-    flipped_open = np.flip(open_mask, axis=axes)
-    seeds = np.zeros((len(dests),) + open_mask.shape, dtype=bool)
-    for b, dest in enumerate(dests):
-        seeds[b][tuple(k - 1 - c for c, k in zip(dest, open_mask.shape, strict=True))] = True
-    flooded = monotone_flood_many(flipped_open, seeds)
-    return np.flip(flooded, axis=tuple(a + 1 for a in axes))
+    with _flood_span(len(dests), np.shape(open_mask)):
+        return _reverse_flood(open_mask, dests)
 
 
 #: Destinations per batched reverse-flood call in :func:`probe_reverse_reachable`

@@ -5,11 +5,20 @@ process to pick up a forwarding direction from set F".  The paper leaves
 the choice open — the guarantee must hold for *every* choice — so the
 engine takes a pluggable policy and the test suite additionally explores
 all choices exhaustively (adversarial stuck-freedom, property P3).
+
+Stateless policies also offer ``choose_many(cand, pos, dest)``: the
+same choice for many packets at once, with ``cand`` a ``(P, ndim)``
+boolean candidate matrix (at least one True per row) and ``pos``/``dest``
+``(P, ndim)`` canonical coordinates.  The batch service's lockstep walk
+uses it; policies without it (``RandomPolicy``, whose draws must happen
+one at a time) take the scalar forwarding loop.
 """
 
 from __future__ import annotations
 
 from typing import Protocol, Sequence
+
+import numpy as np
 
 from repro.util.rng import SeedLike, make_rng
 
@@ -32,6 +41,7 @@ class FixedOrderPolicy:
 
     def __init__(self, order: Sequence[int] = (0, 1, 2)):
         self.order = tuple(order)
+        self._ranks: dict[int, np.ndarray] = {}
 
     def choose(self, candidates, pos, dest) -> int:
         ranked = [a for a in self.order if a in candidates]
@@ -39,6 +49,21 @@ class FixedOrderPolicy:
             # Candidate axis outside the configured order (higher-D mesh).
             return candidates[0]
         return ranked[0]
+
+    def choose_many(self, cand, pos, dest) -> np.ndarray:
+        rank = self._ranks.get(cand.shape[1])
+        if rank is None:
+            rank = self._ranks[cand.shape[1]] = self._rank(cand.shape[1])
+        return np.argmin(np.where(cand, rank, len(rank)), axis=1)
+
+    def _rank(self, ndim: int) -> np.ndarray:
+        """Per-axis priority: ordered axes by order position, then the
+        rest by index (the first-candidate fallback)."""
+        ordered = list(dict.fromkeys(a for a in self.order if 0 <= a < ndim))
+        rest = [a for a in range(ndim) if a not in ordered]
+        rank = np.empty(ndim, dtype=np.intp)
+        rank[ordered + rest] = np.arange(ndim)
+        return rank
 
     def __repr__(self) -> str:
         return f"FixedOrderPolicy(order={self.order})"
@@ -67,6 +92,10 @@ class DiagonalPolicy:
 
     def choose(self, candidates, pos, dest) -> int:
         return max(candidates, key=lambda a: (abs(dest[a] - pos[a]), -a))
+
+    def choose_many(self, cand, pos, dest) -> np.ndarray:
+        # argmax takes the first maximum: the lowest axis on ties.
+        return np.argmax(np.where(cand, np.abs(dest - pos), -1), axis=1)
 
     def __repr__(self) -> str:
         return "DiagonalPolicy()"

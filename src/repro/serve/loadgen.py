@@ -178,9 +178,12 @@ async def run_load(
         raise ValueError("service fault mask does not match the trace's seed mask")
     clock = service.clock
     records: list[CompletedRequest | None] = [None] * len(trace.requests)
+    # Trace times are offsets from the start of the run; a wall clock
+    # reads absolute time, so every deadline is anchored at ``t0``.
+    t0 = clock.now()
 
     async def client(index: int, req: TracedRequest) -> None:
-        await clock.sleep(max(0.0, req.arrival - clock.now()))
+        await clock.sleep(max(0.0, t0 + req.arrival - clock.now()))
         arrival = clock.now()
         try:
             result = await service.route(req.source, req.dest)
@@ -218,7 +221,7 @@ async def run_load(
         )
         stream = FaultEventStream(trace.churn, rng)
         for k, when in enumerate(trace.event_times):
-            await clock.sleep(max(0.0, when - clock.now()))
+            await clock.sleep(max(0.0, t0 + when - clock.now()))
             drawn = stream.next_event(service.online.fault_mask, k)
             if drawn is not None:
                 service.apply_event(drawn.kind, drawn.cells)

@@ -3,8 +3,13 @@
 Covers the two routing-engine regressions (blind-mode feasibility
 verdict, faulty-endpoint handling), the batched flood kernel, the LRU
 bound on reach caches, and the headline property: ``route_batch`` is
-element-wise identical to per-call ``AdaptiveRouter.route``.
+element-wise identical to per-call ``AdaptiveRouter.route`` — for the
+lockstep walk across hop budgets, stuck walks, policies and batches
+spanning many walk groups, and for the scalar walk that stateful
+policies keep.
 """
+
+import hashlib
 
 import numpy as np
 import pytest
@@ -15,6 +20,7 @@ from repro.mesh.orientation import Orientation
 from repro.mesh.regions import mask_of_cells
 from repro.routing.batch import RoutingService
 from repro.routing.engine import AdaptiveRouter
+from repro.experiments.workloads import random_fault_mask
 from repro.routing.oracle import reverse_reachable, reverse_reachable_many
 from repro.routing.policies import DiagonalPolicy, FixedOrderPolicy, RandomPolicy
 from repro.util.caching import LRUCache
@@ -258,3 +264,173 @@ class TestRoutingService:
         assert mcc >= 0 and rfb >= mcc
         # The canonical class model was built once and is reused.
         assert ((1, 1)) in service.router._models
+
+
+def assert_batch_matches_router(mask, pairs, **knobs):
+    """``route_batch`` equals per-pair ``AdaptiveRouter.route``; the results."""
+    batched = RoutingService(mask, **knobs).route_batch(pairs)
+    router = AdaptiveRouter(mask, **knobs)
+    for pair, got in zip(pairs, batched, strict=True):
+        want = router.route(*pair)
+        assert results_equal(got, want), (knobs, pair, got, want)
+    return batched
+
+
+def random_pairs(rng, shape, n):
+    return [
+        (
+            tuple(int(rng.integers(0, k)) for k in shape),
+            tuple(int(rng.integers(0, k)) for k in shape),
+        )
+        for _ in range(n)
+    ]
+
+
+class TestLockstepWalk:
+    @pytest.mark.parametrize("mode", AdaptiveRouter.MODES)
+    def test_hop_budget_below_and_at_distance(self, mode):
+        rng = np.random.default_rng(21)
+        mask = random_mask(rng, (6, 6, 6), 5)
+        pairs = random_pairs(rng, (6, 6, 6), 120)
+        reasons = set()
+        at_budget = 0
+        for max_hops in (0, 1, 3, 6, 9):
+            results = assert_batch_matches_router(
+                mask, pairs, mode=mode, max_hops=max_hops
+            )
+            reasons |= {r.reason for r in results}
+            # A walk exactly as long as the budget still delivers.
+            at_budget += sum(r.delivered and r.hops == max_hops for r in results)
+        assert "hop budget exceeded" in reasons
+        assert at_budget > 0
+
+    def test_blind_stuck_pairs(self):
+        # x-first blind routing walks into the dead-end pocket; the
+        # lockstep walk must stop there with an unknown verdict.
+        mask = mask_of_cells([(4, 0), (4, 1), (3, 2), (2, 2)], (8, 8))
+        pairs = [((0, 0), (7, 7)), ((1, 0), (7, 6)), ((0, 1), (7, 7)), ((5, 5), (0, 0))]
+        for order in ((0, 1), (1, 0)):
+            results = assert_batch_matches_router(
+                mask, pairs, mode="blind", policy=FixedOrderPolicy(order)
+            )
+            if order == (0, 1):
+                stuck = [r for r in results if r.reason == "stuck"]
+                assert stuck and all(r.feasible is None for r in stuck)
+                assert all(r.stuck_at == r.path[-1] for r in stuck)
+
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=10, deadline=None)
+    def test_blind_stuck_random_patterns(self, seed):
+        rng = np.random.default_rng(seed)
+        mask = random_mask(rng, (7, 7), 14)
+        assert_batch_matches_router(
+            mask, random_pairs(rng, (7, 7), 40), mode="blind",
+            policy=DiagonalPolicy() if seed % 2 else FixedOrderPolicy(),
+        )
+
+    @pytest.mark.parametrize("mode", AdaptiveRouter.MODES)
+    def test_non_default_fixed_order(self, mode):
+        rng = np.random.default_rng(8)
+        mask = random_mask(rng, (5, 6, 7), 20)
+        assert_batch_matches_router(
+            mask, random_pairs(rng, (5, 6, 7), 150), mode=mode,
+            policy=FixedOrderPolicy((2, 0, 1)),
+        )
+
+    def test_hot_destinations_span_many_walk_groups(self):
+        # 16^3 with 200 faults and 32 hot destinations: well over 64
+        # (class, destination) groups in one batch, so runs of several
+        # classes share one lockstep walk.
+        shape = (16, 16, 16)
+        mask = random_fault_mask(shape, 200, rng=1)
+        rng = np.random.default_rng(1)
+        healthy = np.argwhere(~mask)
+        hot = healthy[rng.choice(len(healthy), 32, replace=False)]
+        pairs = [
+            (
+                tuple(int(v) for v in healthy[rng.integers(len(healthy))]),
+                tuple(int(v) for v in hot[rng.integers(len(hot))]),
+            )
+            for _ in range(300)
+        ]
+        groups = {
+            (Orientation.for_pair(s, d, shape).signs, d) for s, d in pairs
+        }
+        assert len(groups) > 64
+        results = assert_batch_matches_router(mask, pairs, mode="mcc")
+        assert sum(r.delivered for r in results) > 250
+
+    def test_cached_masks_stay_frozen_and_intact(self):
+        rng = np.random.default_rng(3)
+        mask = random_mask(rng, (6, 6, 6), 12)
+        service = RoutingService(mask, mode="oracle")
+        service.route_batch(random_pairs(rng, (6, 6, 6), 200))
+        checked = 0
+        for model in service.router._models.values():
+            for dest in model._reach.keys():
+                cached = model.reach_mask(dest)
+                assert not cached.flags.writeable
+                assert np.array_equal(cached, reverse_reachable(model._open, dest))
+                checked += 1
+        assert checked > 0
+
+
+class TestPolicyVectorization:
+    @pytest.mark.parametrize(
+        "policy",
+        [
+            FixedOrderPolicy(),
+            FixedOrderPolicy((2, 0, 1)),
+            FixedOrderPolicy((1,)),
+            FixedOrderPolicy((3, 1, 1, 0)),
+            DiagonalPolicy(),
+        ],
+        ids=repr,
+    )
+    def test_choose_many_matches_choose(self, policy):
+        rng = np.random.default_rng(17)
+        for ndim in (2, 3, 4):
+            cand = rng.random((300, ndim)) < 0.5
+            cand[~cand.any(axis=1), 0] = True
+            pos = rng.integers(0, 5, (300, ndim))
+            dest = pos + rng.integers(1, 6, (300, ndim))
+            got = policy.choose_many(cand, pos, dest)
+            for k in range(300):
+                axes = [int(a) for a in np.flatnonzero(cand[k])]
+                want = policy.choose(axes, tuple(pos[k]), tuple(dest[k]))
+                assert got[k] == want, (k, axes)
+
+
+def results_digest(results) -> str:
+    h = hashlib.sha256()
+    for r in results:
+        h.update(repr((r.delivered, r.path, r.feasible, r.stuck_at, r.reason)).encode())
+    return h.hexdigest()[:16]
+
+
+class TestScalarWalkPinned:
+    # Digests of RandomPolicy batches recorded before the lockstep walk
+    # existed: stateful policies keep the scalar walk and its grouped
+    # (or, with replay, input-order) draw sequence exactly.
+    PINNED = {
+        ("mcc", False): "4b78be9795a79c15",
+        ("mcc", True): "b7b0fc3b6654f1be",
+        ("blind", False): "0ca76930278ebbb9",
+        ("blind", True): "f4ead3f5a12bcce6",
+    }
+
+    @pytest.mark.parametrize("mode, replay", sorted(PINNED))
+    def test_random_policy_batches_unchanged(self, mode, replay):
+        mask = random_fault_mask((8, 8, 8), 60, rng=2024)
+        rng = np.random.default_rng(99)
+        pairs = [
+            (
+                tuple(int(v) for v in rng.integers(0, 8, 3)),
+                tuple(int(v) for v in rng.integers(0, 8, 3)),
+            )
+            for _ in range(150)
+        ]
+        service = RoutingService(
+            mask, mode=mode, policy=RandomPolicy(7), replay_policy=replay
+        )
+        assert results_digest(service.route_batch(pairs)) == self.PINNED[(mode, replay)]

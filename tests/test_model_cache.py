@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.core.components import extract_mccs
 from repro.core.conditions import ConditionEvaluator
 from repro.core.labelling import label_grid
 from repro.core.model_cache import (
@@ -11,6 +12,7 @@ from repro.core.model_cache import (
     cached_labelled,
     clear_labelling_cache,
 )
+from repro.core.walls import build_walls
 from repro.mesh.orientation import Orientation
 from repro.routing.engine import AdaptiveRouter
 
@@ -76,6 +78,18 @@ class TestAssetsSharing:
         labelled, _mccs, walls = evaluator.for_orientation(orientation)
         assert model.labelled is labelled
         assert model.walls is walls
+
+    @pytest.mark.parametrize("label_cache", [True, False])
+    def test_router_builds_walls_only_when_read(self, label_cache):
+        # Routing reads the labelled grid alone; the walls (and the MCCs
+        # behind them) are derived on first read of ``model.walls``.
+        router = AdaptiveRouter(some_mask(), mode="mcc", label_cache=label_cache)
+        router.route((0, 0), (5, 5))
+        assert not any(key[-1] == "assets" for key in LABELLING_CACHE.keys())
+        model = router._model_for(Orientation.identity((6, 6)))
+        want = build_walls(extract_mccs(model.labelled))
+        assert len(model.walls) == len(want) > 0
+        assert model.walls is model.walls
 
     def test_two_routers_same_pattern_label_once(self):
         mask = some_mask()

@@ -11,8 +11,10 @@ from repro.routing.oracle import (
     forward_reachable,
     minimal_path_exists,
     monotone_flood,
+    monotone_flood_many,
     monotone_flood_reference,
     reverse_reachable,
+    reverse_reachable_many,
 )
 from tests.conftest import random_mask
 
@@ -121,3 +123,82 @@ class TestSemantics:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
             monotone_flood(np.ones((3, 3), dtype=bool), np.ones((2, 2), dtype=bool))
+
+
+#: 1-D through 4-D meshes, extent-1 axes included, small enough for the
+#: scalar BFS reference to check every flood of a batch.
+KERNEL_SHAPES = (
+    st.lists(st.integers(1, 6), min_size=1, max_size=4)
+    .filter(lambda shape: int(np.prod(shape)) <= 150)
+    .map(tuple)
+)
+
+
+class TestWavefrontKernel:
+    """The bit-packed wavefront kernel against the scalar BFS.
+
+    Batch sizes straddle the 64-floods-per-word boundary (63/64/65) and
+    span three words (130), so every bit lane of the packed state is
+    pinned to its own reference flood.
+    """
+
+    @given(
+        KERNEL_SHAPES,
+        st.sampled_from([1, 63, 64, 65, 130]),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_batched_floods_match_reference(self, shape, batch, seed):
+        rng = np.random.default_rng(seed)
+        open_mask = rng.random(shape) >= rng.uniform(0.0, 0.5)
+        seeds = rng.random((batch, *shape)) < 0.1
+        if not open_mask.all():
+            # A seed on a blocked cell must stay unreached.
+            seeds[0][tuple(np.argwhere(~open_mask)[0])] = True
+        flooded = monotone_flood_many(open_mask, seeds)
+        assert flooded.shape == (batch, *shape)
+        for b in range(batch):
+            want = monotone_flood_reference(open_mask, seeds[b])
+            assert np.array_equal(flooded[b], want), b
+        assert np.array_equal(monotone_flood(open_mask, seeds[0]), flooded[0])
+
+    @given(
+        KERNEL_SHAPES,
+        st.sampled_from([1, 63, 64, 65, 130]),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_reverse_many_equals_stacked_single(self, shape, batch, seed):
+        rng = np.random.default_rng(seed)
+        open_mask = rng.random(shape) >= rng.uniform(0.0, 0.5)
+        dests = [tuple(int(rng.integers(0, k)) for k in shape) for _ in range(batch)]
+        many = reverse_reachable_many(open_mask, dests)
+        assert many.shape == (batch, *shape)
+        for b, dest in enumerate(dests):
+            assert np.array_equal(many[b], reverse_reachable(open_mask, dest)), b
+        # The reverse sweep is the forward one in the all-flipped frame.
+        axes = tuple(range(len(shape)))
+        flipped_seed = np.zeros(shape, dtype=bool)
+        last = dests[-1]
+        flipped_seed[tuple(k - 1 - c for c, k in zip(last, shape, strict=True))] = True
+        want = np.flip(
+            monotone_flood_reference(np.flip(open_mask, axes), flipped_seed), axes
+        )
+        assert np.array_equal(many[-1], want)
+
+    def test_empty_batches(self):
+        open_mask = np.ones((3, 1, 2), dtype=bool)
+        assert reverse_reachable_many(open_mask, []).shape == (0, 3, 1, 2)
+        assert monotone_flood_many(
+            open_mask, np.zeros((0, 3, 1, 2), dtype=bool)
+        ).shape == (0, 3, 1, 2)
+
+    def test_non_contiguous_open_mask(self):
+        # Class models hand in flipped views of their masks.
+        rng = np.random.default_rng(4)
+        base = rng.random((5, 4, 3)) > 0.3
+        view = np.flip(base, axis=(0, 2))
+        assert np.array_equal(
+            reverse_reachable(view, (4, 3, 2)),
+            reverse_reachable(np.ascontiguousarray(view), (4, 3, 2)),
+        )

@@ -162,6 +162,22 @@ class TestBatchingDeterminism:
         t3 = make_trace((6, 6, 6), 6, profile="ramp", rate=300.0, seed=6)
         assert t1.requests != t3.requests
 
+    def test_arrivals_follow_trace_offsets_on_a_late_clock(self):
+        # A wall clock reads absolute time far from 0; trace arrivals are
+        # offsets from the start of the run and must stay spread out.
+        trace = make_trace((6, 6, 6), 6, rate=200.0, duration=0.2, events=1, seed=3)
+        start = 1.0e6
+        service = AsyncRoutingService(
+            trace.seed_mask.copy(), clock=VirtualClock(start), batch_window=0.005
+        )
+        records = asyncio.run(run_load(service, trace))
+        stamps = [r.arrival - start for r in records]
+        offsets = [req.arrival for req in trace.requests]
+        assert stamps == pytest.approx(offsets, abs=1e-6)
+        assert max(stamps) - min(stamps) == pytest.approx(
+            max(offsets) - min(offsets), abs=1e-6
+        )
+
     def test_run_load_rejects_mismatched_mask(self):
         trace = make_trace((6, 6, 6), 6, rate=100.0, duration=0.05, seed=5)
         other = np.zeros((6, 6, 6), dtype=bool)
