@@ -34,7 +34,7 @@ from repro.core.labelling import SAFE
 from repro.mesh.coords import Coord
 from repro.simkit.message import Message
 from repro.simkit.node import NodeProcess
-from repro.distributed.ringwalk import plane_step, ring_step
+from repro.distributed.ringwalk import ring_step
 
 _MAX_RETRIES = 40
 _RETRY_DELAY = 5.0
@@ -60,8 +60,8 @@ class BoundaryMixin(NodeProcess):
                 tops[col] = max(tops.get(col, height), height)
                 bottoms[col] = min(bottoms.get(col, height), height)
             payload = {
-                "plane": list(plane),
-                "owner": list(corner),
+                "plane": plane,
+                "owner": corner,
                 "desc_axis": desc_axis,
                 "guard_axis": guard_axis,
                 "tops": sorted(tops.items()),
@@ -75,19 +75,16 @@ class BoundaryMixin(NodeProcess):
 
     def _deposit_record(self, payload: dict[str, Any]) -> None:
         records = self.store.setdefault("records", {})
-        key = (
-            tuple(payload["plane"]),
-            tuple(payload["owner"]),
-            payload["desc_axis"],
-            payload["guard_axis"],
-        )
+        plane = payload["plane"]
+        owner = payload["owner"]
+        key = (plane, owner, payload["desc_axis"], payload["guard_axis"])
         records[key] = {
-            "plane": tuple(payload["plane"]),
-            "owner": tuple(payload["owner"]),
+            "plane": plane,
+            "owner": owner,
             "shadow_axis": payload["desc_axis"],
             "guard_axis": payload["guard_axis"],
-            "tops": dict(tuple(t) for t in payload["tops"]),
-            "bottoms": dict(tuple(b) for b in payload["bottoms"]),
+            "tops": dict(payload["tops"]),
+            "bottoms": dict(payload["bottoms"]),
         }
 
     # -- the walk ------------------------------------------------------------------
@@ -108,44 +105,42 @@ class BoundaryMixin(NodeProcess):
 
     def _wall_descend(self, payload: dict[str, Any]) -> None:
         desc_axis = payload["desc_axis"]
-        nxt = list(self.coord)
-        nxt[desc_axis] -= 1
-        nxt = tuple(nxt)
-        if not self.network.mesh.contains(nxt):
+        nxt = self.down[desc_axis]
+        if nxt is None:
             return  # reached the mesh floor: wall complete
         if not self._is_unsafe(nxt):
             self._wall_forward(payload, nxt)
             return
         # Obstructed: join the obstructor's boundary (chain merge).
-        shape = self._find_local_shape(tuple(payload["plane"]), nxt)
+        plane = payload["plane"]
+        shape = self._find_local_shape(plane, nxt)
         if shape is None:
             self._wall_retry(payload)
             return
         self._merge_shape(payload, shape)
-        target = self._section_corner(tuple(payload["plane"]), shape)
-        if not self.network.mesh.contains(target):
+        target = self._section_corner(plane, shape)
+        if target not in self.network.nodes:
             return  # obstructor hugs the mesh edge: wall ends (barrier)
-        payload = dict(payload)
+        payload = payload.copy()
         payload["mode"] = "detour"
-        payload["target"] = list(target)
+        payload["target"] = target
         # Initial detour heading: turn from -desc toward -guard.
-        plane = tuple(payload["plane"])
-        heading_uv = self._detour_heading(plane, desc_axis)
-        payload["heading"] = list(heading_uv)
+        payload["heading"] = self._detour_heading(plane, desc_axis)
         self._wall_detour(payload)
 
     def _wall_detour(self, payload: dict[str, Any]) -> None:
-        plane = tuple(payload["plane"])
+        plane = payload["plane"]
         axis_u, axis_v = plane
-        payload = dict(payload)
+        payload = payload.copy()
         # A pinched detour can run along *other* sections than the one
         # that obstructed the descent: merge every section this node
         # touches and retarget to the deepest corner seen so far, so the
         # walk resumes below the whole chained obstruction.
-        merged = [tuple(c) for c in payload.get("merged", [])]
-        for du, dv in ((1, 0), (-1, 0), (0, 1), (0, -1)):
-            n = plane_step(self.coord, axis_u, axis_v, du, dv)
-            if not self.network.mesh.contains(n) or not self._is_unsafe(n):
+        merged = payload.get("merged", ())
+        nodes = self.network.nodes
+        up, down = self.up, self.down
+        for n in (up[axis_u], down[axis_u], up[axis_v], down[axis_v]):
+            if n is None or not self._is_unsafe(n):
                 continue
             shape = self._find_local_shape(plane, n)
             if shape is None:
@@ -153,40 +148,39 @@ class BoundaryMixin(NodeProcess):
             corner = self._section_corner(plane, shape)
             if corner in merged:
                 continue
-            merged.append(corner)
+            merged += (corner,)
             self._merge_shape(payload, shape)
-            target = tuple(payload["target"])
+            target = payload["target"]
             desc = payload["desc_axis"]
-            if self.network.mesh.contains(corner) and (
+            if corner in nodes and (
                 corner[desc] < target[desc]
                 or (corner[desc] == target[desc]
                     and corner[payload["guard_axis"]] < target[payload["guard_axis"]])
             ):
-                payload["target"] = list(corner)
-        payload["merged"] = [list(c) for c in merged]
-        target = tuple(payload["target"])
-        if self.coord == target:
+                payload["target"] = corner
+        payload["merged"] = merged
+        if self.coord == payload["target"]:
             payload["mode"] = "descend"
             self._wall_descend(payload)
             return
-        heading = tuple(payload["heading"])
         clockwise = payload["desc_axis"] == axis_u  # see module docstring
+        heading = payload["heading"]
         nxt = ring_step(
             self.coord, heading, clockwise, axis_u, axis_v, self._passable_local
         )
         if nxt is None:
             return  # boxed in; drop the wall here
         cell, new_heading = nxt
-        payload["heading"] = list(new_heading)
+        payload["heading"] = new_heading
         self._wall_forward(payload, cell)
 
     def _wall_forward(self, payload: dict[str, Any], dst: Coord) -> None:
-        payload = dict(payload)
+        payload = payload.copy()
         payload["hops"] = payload.get("hops", 0) + 1
         self.send(dst, "WALL", payload)
 
     def _wall_retry(self, payload: dict[str, Any]) -> None:
-        payload = dict(payload)
+        payload = payload.copy()
         payload["retries"] = payload.get("retries", 0) + 1
         if payload["retries"] > _MAX_RETRIES:
             return  # obstructor never identified (e.g. broken ring): drop
@@ -203,7 +197,7 @@ class BoundaryMixin(NodeProcess):
     def _find_local_shape(self, plane, cell: Coord):
         """Shape of the section (same plane family) containing ``cell``."""
         for (p, _corner), shape in self.store.get("shapes", {}).items():
-            if tuple(p) == plane and tuple(cell) in shape:
+            if p == plane and cell in shape:
                 return shape
         return None
 
@@ -221,16 +215,11 @@ class BoundaryMixin(NodeProcess):
         """Q := Q ∪ Q(obstructor): per-column max of shadow tops."""
         desc_axis = payload["desc_axis"]
         col_axis = payload["guard_axis"]
-        tops = dict(tuple(t) for t in payload["tops"])
+        tops = dict(payload["tops"])
         for cell in shape:
             col, height = cell[col_axis], cell[desc_axis]
             tops[col] = max(tops.get(col, height), height)
         payload["tops"] = sorted(tops.items())
 
-    # -- dispatch ---------------------------------------------------------------------
-
-    def handle_boundary(self, msg: Message) -> bool:
-        if msg.kind == "WALL":
-            self._wall_arrive(msg.payload)
-            return True
-        return False
+    def _on_wall(self, msg: Message) -> None:
+        self._wall_arrive(msg.payload)

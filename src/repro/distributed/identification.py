@@ -71,23 +71,31 @@ class IdentificationMixin(NodeProcess):
     # -- local knowledge helpers ------------------------------------------------
 
     def _is_unsafe(self, coord: Coord) -> bool:
-        """Node-local safety knowledge about a *neighbor* cell."""
-        if not self.network.mesh.contains(coord):
-            return False
-        if self.network.is_faulty(coord):
+        """Node-local safety knowledge about a *neighbor* cell.
+
+        No bounds check: ``network.faulty`` holds in-mesh cells only and
+        ``known_labels`` in-mesh neighbors only, so a cell one step past
+        a mesh face reads "not unsafe".
+        """
+        if coord in self.network.faulty:
             return True
-        return self.store["known_labels"].get(tuple(coord), SAFE) != SAFE
+        return self.store["known_labels"].get(coord, SAFE) != SAFE
 
     def _passable_local(self, coord: Coord) -> bool:
-        return self.network.mesh.contains(coord) and not self._is_unsafe(coord)
+        return coord in self.network.nodes and not self._is_unsafe(coord)
 
     def _unsafe_plane_dirs(self, axis_u: int, axis_v: int) -> list[tuple[int, int]]:
         """In-plane (du, dv) unit directions pointing at unsafe neighbors."""
+        up, down = self.up, self.down
         out = []
-        for du, dv in ((1, 0), (-1, 0), (0, 1), (0, -1)):
-            n = plane_step(self.coord, axis_u, axis_v, du, dv)
-            if self.network.mesh.contains(n) and self._is_unsafe(n):
-                out.append((du, dv))
+        for direction, n in (
+            ((1, 0), up[axis_u]),
+            ((-1, 0), down[axis_u]),
+            ((0, 1), up[axis_v]),
+            ((0, -1), down[axis_v]),
+        ):
+            if n is not None and self._is_unsafe(n):
+                out.append(direction)
         return out
 
     def _ring_contacts(self, plane: tuple[int, int]) -> set[Coord]:
@@ -98,17 +106,18 @@ class IdentificationMixin(NodeProcess):
         orthogonal neighbors.
         """
         axis_u, axis_v = plane
+        coord = self.coord
         contacts: set[Coord] = set()
         for du, dv in self._unsafe_plane_dirs(axis_u, axis_v):
-            contacts.add(plane_step(self.coord, axis_u, axis_v, du, dv))
+            contacts.add(plane_step(coord, axis_u, axis_v, du, dv))
         for du in (-1, 1):
+            nu = (self.up if du > 0 else self.down)[axis_u]
             for dv in (-1, 1):
-                nu = plane_step(self.coord, axis_u, axis_v, du, 0)
-                nv = plane_step(self.coord, axis_u, axis_v, 0, dv)
+                nv = (self.up if dv > 0 else self.down)[axis_v]
                 if self._neighbor_reports(nu, plane, (0, dv)) or (
                     self._neighbor_reports(nv, plane, (du, 0))
                 ):
-                    contacts.add(plane_step(self.coord, axis_u, axis_v, du, dv))
+                    contacts.add(plane_step(coord, axis_u, axis_v, du, dv))
         return contacts
 
     # -- phase 1: edge announcements -------------------------------------------
@@ -132,10 +141,11 @@ class IdentificationMixin(NodeProcess):
         for plane in plane_families(self.network.mesh.ndim):
             dirs = self._unsafe_plane_dirs(*plane)
             if dirs:
-                announce.append([list(plane), [list(d) for d in dirs]])
+                announce.append((plane, frozenset(dirs)))
         if announce or announce_empty:
+            faulty = self.network.faulty
             for n in self.neighbors():
-                if not self.network.is_faulty(n):
+                if n not in faulty:
                     self.send(n, "EDGE", {"planes": announce})
         # Corner detection needs one announcement round; check after the
         # announcements have propagated (2 link delays).
@@ -143,27 +153,32 @@ class IdentificationMixin(NodeProcess):
 
     def _on_edge(self, msg: Message) -> None:
         info = self.store.setdefault("edge_info", {})
-        info[tuple(msg.src)] = {
-            tuple(plane): {tuple(d) for d in dirs}
-            for plane, dirs in msg.payload["planes"]
-        }
+        info[msg.src] = dict(msg.payload["planes"])
 
     # -- phase 2: corner detection ----------------------------------------------
 
     def _neighbor_reports(
-        self, neighbor: Coord, plane: tuple[int, int], direction: tuple[int, int]
+        self,
+        neighbor: Coord | None,
+        plane: tuple[int, int],
+        direction: tuple[int, int],
     ) -> bool:
-        info = self.store.get("edge_info", {}).get(tuple(neighbor), {})
-        return tuple(direction) in info.get(tuple(plane), set())
+        """``neighbor`` announced an unsafe cell at ``direction`` in ``plane``.
+
+        ``None`` (no neighbor past a mesh face) never reports.
+        """
+        info = self.store.get("edge_info", {}).get(neighbor, {})
+        return direction in info.get(plane, ())
 
     def _is_init_corner(self, plane: tuple[int, int]) -> bool:
         """+u neighbor is an edge node at +v, +v neighbor an edge node at +u."""
-        axis_u, axis_v = plane
-        nu = plane_step(self.coord, axis_u, axis_v, 1, 0)
-        nv = plane_step(self.coord, axis_u, axis_v, 0, 1)
+        nu = self.up[plane[0]]
+        nv = self.up[plane[1]]
         return (
-            self._passable_local(nu)
-            and self._passable_local(nv)
+            nu is not None
+            and nv is not None
+            and not self._is_unsafe(nu)
+            and not self._is_unsafe(nv)
             and self._neighbor_reports(nu, plane, (0, 1))
             and self._neighbor_reports(nv, plane, (1, 0))
         )
@@ -186,22 +201,23 @@ class IdentificationMixin(NodeProcess):
             if not self._passable_local(first):
                 return  # ring broken right at the corner; discard section
             payload = {
-                "plane": list(plane),
-                "corner": list(self.coord),
+                "plane": plane,
+                "corner": self.coord,
                 "clockwise": clockwise,
-                "heading": [du, dv],
-                "trail": [list(self.coord)],
+                "heading": (du, dv),
+                "trail": (self.coord,),
             }
             self.send(first, "IDENT", payload, ttl=self._ttl())
 
     def _on_ident(self, msg: Message) -> None:
         if self.store.get("label", SAFE) != SAFE:
             return  # walked onto a node that turned unsafe: drop (instability)
-        plane = tuple(msg.payload["plane"])
+        payload = msg.payload
+        plane = payload["plane"]
         axis_u, axis_v = plane
-        corner = tuple(msg.payload["corner"])
-        clockwise = bool(msg.payload["clockwise"])
-        trail = [tuple(c) for c in msg.payload["trail"]] + [self.coord]
+        corner = payload["corner"]
+        clockwise = payload["clockwise"]
+        trail = payload["trail"] + (self.coord,)
         snapshot = {"trail": trail}
 
         if self.coord == corner:
@@ -213,7 +229,7 @@ class IdentificationMixin(NodeProcess):
             # bring the partial trail back to the initialization corner.
             self._reverse_ident(plane, corner, clockwise, trail)
             return
-        prev_contacts = {tuple(c) for c in msg.payload.get("contact", [])}
+        prev_contacts = payload.get("contact", ())
         if prev_contacts and not any(
             all(abs(a - b) <= 1 for a, b in zip(mine_c, prev_c, strict=True))
             for mine_c in contacts
@@ -232,7 +248,7 @@ class IdentificationMixin(NodeProcess):
             return  # first contact: stop this walker
         marks[(plane, corner, clockwise)] = snapshot
 
-        heading = tuple(msg.payload["heading"])
+        heading = payload["heading"]
         nxt = ring_step(
             self.coord, heading, clockwise, axis_u, axis_v, self._passable_local
         )
@@ -245,10 +261,10 @@ class IdentificationMixin(NodeProcess):
             # a retreat.  Reverse with this on-ring cell kept in the chain.
             self._reverse_ident(plane, corner, clockwise, trail, include_self=True)
             return
-        payload = dict(msg.payload)
-        payload["trail"] = [list(c) for c in trail]
-        payload["heading"] = list(new_heading)
-        payload["contact"] = [list(c) for c in contacts]
+        payload = payload.copy()
+        payload["trail"] = trail
+        payload["heading"] = new_heading
+        payload["contact"] = frozenset(contacts)
         fwd = Message(
             "IDENT", self.coord, cell, payload,
             hops=msg.hops + 1, ttl=msg.ttl, msg_id=msg.msg_id,
@@ -264,33 +280,33 @@ class IdentificationMixin(NodeProcess):
         reversals happen *on* the ring; off-ring/discontinuity reversals
         happen one step past it).
         """
-        chain = trail if include_self else trail[:-1]
-        payload = {
-            "plane": list(plane),
-            "corner": list(corner),
-            "clockwise": clockwise,
-            "trail": [list(c) for c in chain],
-        }
         if len(trail) < 2:
             return
+        payload = {
+            "plane": plane,
+            "corner": corner,
+            "clockwise": clockwise,
+            "trail": trail if include_self else trail[:-1],
+        }
         self.send(trail[-2], "IDENT_BACK", payload, ttl=self._ttl())
 
     def _on_ident_back(self, msg: Message) -> None:
-        plane = tuple(msg.payload["plane"])
-        corner = tuple(msg.payload["corner"])
-        trail = [tuple(c) for c in msg.payload["trail"]]
+        payload = msg.payload
+        plane = payload["plane"]
+        corner = payload["corner"]
+        trail = payload["trail"]
         if self.coord == corner:
             arrivals = self.store.setdefault("_ident_back", {})
             slot = arrivals.setdefault((plane, corner), {})
-            slot["cw" if msg.payload["clockwise"] else "ccw"] = trail
+            slot["cw" if payload["clockwise"] else "ccw"] = trail
             if "cw" in slot and "ccw" in slot:
                 # Trails arrive corner-first; _send_shape walks outward
                 # from this node, so hand them over reversed.
                 self._assemble(
                     plane,
                     corner,
-                    {"trail": list(reversed(slot["cw"]))},
-                    {"trail": list(reversed(slot["ccw"]))},
+                    {"trail": slot["cw"][::-1]},
+                    {"trail": slot["ccw"][::-1]},
                     closed=False,
                 )
                 del arrivals[(plane, corner)]
@@ -302,8 +318,7 @@ class IdentificationMixin(NodeProcess):
             return  # stale trail (should not happen): drop
         if here == 0:
             return
-        self.send(trail[here - 1], "IDENT_BACK", dict(msg.payload),
-                  ttl=self._ttl())
+        self.send(trail[here - 1], "IDENT_BACK", payload.copy(), ttl=self._ttl())
 
     # -- phase 4: shape assembly and deposit --------------------------------------
 
@@ -316,7 +331,7 @@ class IdentificationMixin(NodeProcess):
         3-D section are filled too — harmless, since the forbidden and
         critical regions depend only on per-column extrema.
         """
-        ring = {tuple(c) for c in mine["trail"]} | {tuple(c) for c in theirs["trail"]}
+        ring = set(mine["trail"]) | set(theirs["trail"])
         if not ring:
             return
         axis_u, axis_v = plane
@@ -329,8 +344,7 @@ class IdentificationMixin(NodeProcess):
         anchor = next(iter(ring))
         shape = frozenset(self._lift(plane, uv, anchor) for uv in interior)
         for snapshot in (mine, theirs):
-            trail = [tuple(c) for c in snapshot["trail"]]
-            self._send_shape(plane, corner, shape, trail)
+            self._send_shape(plane, corner, shape, snapshot["trail"])
 
     def _lift(self, plane, uv, anchor: Coord) -> Coord:
         out = list(anchor)
@@ -343,56 +357,43 @@ class IdentificationMixin(NodeProcess):
         if len(trail) < 2:
             return
         payload = {
-            "plane": list(plane),
-            "corner": list(corner),
-            "shape": [list(c) for c in sorted(shape)],
-            "trail": [list(c) for c in trail[:-1]],
+            "plane": plane,
+            "corner": corner,
+            "shape": shape,
+            "trail": trail[:-1],
         }
         self.send(trail[-2], "SHAPE", payload, ttl=self._ttl())
 
     def _on_shape(self, msg: Message) -> None:
-        plane = tuple(msg.payload["plane"])
-        corner = tuple(msg.payload["corner"])
-        shape = frozenset(tuple(c) for c in msg.payload["shape"])
+        payload = msg.payload
+        plane = payload["plane"]
+        corner = payload["corner"]
+        shape = payload["shape"]
         self._store_shape(plane, corner, shape)
         self._maybe_complete(plane, corner, shape)
-        trail = [tuple(c) for c in msg.payload["trail"]]
+        trail = payload["trail"]
         if len(trail) < 2:
             return
-        payload = dict(msg.payload)
-        payload["trail"] = [list(c) for c in trail[:-1]]
+        payload = payload.copy()
+        payload["trail"] = trail[:-1]
         self.send(trail[-2], "SHAPE", payload, ttl=self._ttl())
 
     def _store_shape(self, plane, corner, shape) -> None:
-        self.store.setdefault("shapes", {})[(tuple(plane), tuple(corner))] = shape
+        self.store.setdefault("shapes", {})[(plane, corner)] = shape
 
     def _maybe_complete(self, plane, corner, shape) -> None:
-        if tuple(corner) != self.coord:
+        if corner != self.coord:
             return
         marks = self.store.setdefault("corner_of", [])
-        key = (tuple(plane), tuple(corner))
+        key = (plane, corner)
         if key not in [k for k, _ in marks]:
             marks.append((key, shape))
-            self.on_section_identified(tuple(plane), tuple(corner), shape)
+            self.on_section_identified(plane, corner, shape)
 
     def on_section_identified(self, plane, corner, shape) -> None:
         """Hook for the boundary-construction layer."""
 
-    # -- dispatch -----------------------------------------------------------------
-
-    def handle_identification(self, msg: Message) -> bool:
-        """Route identification messages; True when consumed."""
-        if msg.kind == "EDGE":
-            self._on_edge(msg)
-        elif msg.kind == "IDENT":
-            self._on_ident(msg)
-        elif msg.kind == "IDENT_BACK":
-            self._on_ident_back(msg)
-        elif msg.kind == "SHAPE":
-            self._on_shape(msg)
-        else:
-            return False
-        return True
+    # -- timers -------------------------------------------------------------------
 
     def on_timer(self, tag: str) -> None:
         if tag == "corner-check":

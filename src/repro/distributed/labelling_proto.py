@@ -27,11 +27,15 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.labelling import CANT_REACH, FAULTY, SAFE, USELESS
-from repro.mesh.coords import Coord, Direction
+from repro.mesh.coords import Coord
 from repro.mesh.topology import Mesh
 from repro.simkit.message import Message
 from repro.simkit.network import MeshNetwork
 from repro.simkit.node import NodeProcess
+
+#: Labels that block the +side (useless rule) and the -side (can't-reach).
+_BLOCK_UP = frozenset({FAULTY, USELESS})
+_BLOCK_DOWN = frozenset({FAULTY, CANT_REACH})
 
 
 class LabellingNode(NodeProcess):
@@ -40,18 +44,23 @@ class LabellingNode(NodeProcess):
     def on_start(self) -> None:
         self.store["label"] = SAFE
         # Node-local knowledge: neighbor labels, seeded by local fault
-        # detection.  Missing (off-mesh) neighbors stay absent.
+        # detection.  Missing (off-mesh) neighbors stay absent — later
+        # phases rely on that: ``known_labels`` only ever holds in-mesh
+        # neighbors.
+        faulty = self.network.faulty
         known: dict[Coord, int] = {}
         for n in self.neighbors():
-            known[n] = FAULTY if self.network.is_faulty(n) else SAFE
+            known[n] = FAULTY if n in faulty else SAFE
         self.store["known_labels"] = known
         self._reevaluate(announce_if_unchanged=False)
 
     def on_message(self, msg: Message) -> None:
-        if msg.kind != "LABEL":
-            return
+        if msg.kind == "LABEL":
+            self._on_label(msg)
+
+    def _on_label(self, msg: Message) -> None:
         known = self.store["known_labels"]
-        new_label = int(msg.payload["label"])
+        new_label = msg.payload["label"]
         if known.get(msg.src) == new_label:
             return
         known[msg.src] = new_label
@@ -59,12 +68,10 @@ class LabellingNode(NodeProcess):
 
     # -- local rule ------------------------------------------------------------
 
-    def _blocked_toward(self, sign: int, blocking: set[int]) -> bool:
+    def _blocked_toward(self, sign: int, blocking: frozenset[int]) -> bool:
         """All existing neighbors on ``sign`` side carry a blocking label."""
-        mesh = self.network.mesh
         known = self.store["known_labels"]
-        for axis in range(mesh.ndim):
-            n = mesh.neighbor(self.coord, Direction(axis, sign))
+        for n in self.up if sign > 0 else self.down:
             if n is None:
                 # Mesh border: not blocking (DESIGN.md interpretation 1).
                 return False
@@ -103,9 +110,10 @@ class LabellingNode(NodeProcess):
         """
         self.store["label"] = SAFE
         known = self.store.setdefault("known_labels", {})
+        faulty = self.network.faulty
         for n in self.neighbors():
             if n in reset_set or n not in known:
-                known[n] = FAULTY if self.network.is_faulty(n) else SAFE
+                known[n] = FAULTY if n in faulty else SAFE
 
     def announce_labelling(self) -> None:
         """Re-run the local rule and announce even an unchanged label.
@@ -124,16 +132,15 @@ class LabellingNode(NodeProcess):
         # -neighbors can't-reach); the centralized fixed point resolves
         # such ties to USELESS, and the upgrade matters — only USELESS
         # labels feed further useless fills at the +X/+Y/+Z neighbors.
-        if label in (SAFE, CANT_REACH) and self._blocked_toward(
-            +1, {FAULTY, USELESS}
-        ):
+        if label in (SAFE, CANT_REACH) and self._blocked_toward(+1, _BLOCK_UP):
             label = USELESS
-        elif label == SAFE and self._blocked_toward(-1, {FAULTY, CANT_REACH}):
+        elif label == SAFE and self._blocked_toward(-1, _BLOCK_DOWN):
             label = CANT_REACH
         if label != old or announce_if_unchanged:
             self.store["label"] = label
+            faulty = self.network.faulty
             for n in self.neighbors():
-                if not self.network.is_faulty(n):
+                if n not in faulty:
                     self.send(n, "LABEL", {"label": label})
 
 

@@ -52,8 +52,9 @@ epoch they completed under.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Sequence
+from typing import Any, Callable, Iterable, Sequence
 
 import numpy as np
 from scipy import ndimage
@@ -105,15 +106,27 @@ class MCCProtocolNode(
 ):
     """A full protocol node: labelling, identification, walls, routing."""
 
+    #: Message kind -> handler: one dict lookup per delivered message.
+    #: Handlers are bound per class here, so a subclass that overrides
+    #: one must also override its entry.  Unknown kinds are ignored.
+    HANDLERS: dict[str, Callable[["MCCProtocolNode", Message], None]] = {
+        "LABEL": LabellingNode._on_label,
+        "EDGE": IdentificationMixin._on_edge,
+        "IDENT": IdentificationMixin._on_ident,
+        "IDENT_BACK": IdentificationMixin._on_ident_back,
+        "SHAPE": IdentificationMixin._on_shape,
+        "WALL": BoundaryMixin._on_wall,
+        "DETECT": RoutingMixin._on_detect,
+        "DETECT_OK": RoutingMixin._on_reply,
+        "DETECT_FAIL": RoutingMixin._on_reply,
+        "ROUTE": RoutingMixin._on_route,
+        "ROUTE_DONE": RoutingMixin._on_reply,
+    }
+
     def on_message(self, msg: Message) -> None:
-        if msg.kind == "LABEL":
-            LabellingNode.on_message(self, msg)
-        elif self.handle_identification(msg):
-            pass
-        elif self.handle_boundary(msg):
-            pass
-        elif self.handle_routing(msg):
-            pass
+        handler = self.HANDLERS.get(msg.kind)
+        if handler is not None:
+            handler(self, msg)
 
     def on_timer(self, tag: str) -> None:
         if tag == "corner-check":
@@ -199,11 +212,16 @@ class DistributedMCCPipeline:
         now — the open-loop load generator uses it to place Poisson
         arrivals on the simulator clock; with contended links the
         sessions then genuinely overlap and queue against each other.
+
+        Endpoints are validated here, once, whatever ``strict`` is: a
+        wrong arity, a non-integral coordinate or a cell outside the
+        mesh raises ``ValueError`` naming it.  The protocol handlers
+        never re-check coordinates, so nothing off-mesh may reach them.
         """
+        source = self._mesh_node("source", source)
+        dest = self._mesh_node("dest", dest)
         if not self._built:
             self.build()
-        source = tuple(int(c) for c in source)
-        dest = tuple(int(c) for c in dest)
         if any(s > d for s, d in zip(source, dest, strict=True)):
             raise ValueError(f"canonical frame required: {source} !<= {dest}")
         query_id = next(self._query_ids)
@@ -239,6 +257,23 @@ class DistributedMCCPipeline:
         self._inflight.append(handle)
         return handle
 
+    def _mesh_node(self, name: str, coord: Sequence[int]) -> Coord:
+        """``coord`` as a node of this mesh, or ``ValueError`` naming it."""
+        try:
+            node = tuple(operator.index(c) for c in coord)
+        except TypeError:
+            raise ValueError(
+                f"{name} {coord!r} must be a sequence of integer coordinates"
+            ) from None
+        if len(node) != self.mesh.ndim:
+            raise ValueError(
+                f"{name} {coord!r} has {len(node)} coordinates; "
+                f"the mesh is {self.mesh.ndim}-dimensional"
+            )
+        if node not in self.net.nodes:
+            raise ValueError(f"{name} {coord!r} is outside mesh {self.mesh.shape}")
+        return node
+
     def _endpoint_problem(
         self, source: Coord, dest: Coord, strict: bool
     ) -> str | None:
@@ -273,6 +308,11 @@ class DistributedMCCPipeline:
             sp.set_vt(start=self.net.sim.now)
             self.net.run_to_quiescence()
             sp.set_vt(end=self.net.sim.now)
+        # Flood dedup markers are the per-node memory of a flood having
+        # passed.  At quiescence no flood message is in flight and query
+        # ids are never reused, so no marker can be consulted again.
+        for node in self.net.nodes.values():
+            node.store.pop("_flood_seen", None)
         out: list[dict[str, Any]] = []
         for handle in self._inflight:
             if handle.result is None:
@@ -293,9 +333,7 @@ class DistributedMCCPipeline:
                 handle.result = record
                 # Resolved sessions release their protocol-side state so
                 # a long-lived pipeline does not grow per query served.
-                # (Straggler replies tolerate the missing entry; flood
-                # dedup markers stay — they are the per-node memory of a
-                # flood having passed and have no completion signal.)
+                # (Straggler replies tolerate the missing entry.)
                 node.store["queries"].pop(handle.query_id, None)
                 self.net.stats.query_messages.pop(handle.query_id, None)
             out.append(handle.result)
@@ -385,9 +423,7 @@ class DistributedMCCPipeline:
         out: list[Coord] = []
         seen: set[Coord] = set()
         for cell in cells:
-            c = tuple(int(v) for v in cell)
-            if not self.mesh.contains(c):
-                raise ValueError(f"cell {c} outside mesh {self.mesh.shape}")
+            c = self._mesh_node("cell", cell)
             if c in seen:
                 raise ValueError(f"cell {c} given twice in one event")
             seen.add(c)
@@ -409,7 +445,7 @@ class DistributedMCCPipeline:
         for c in cells:
             self.net.inject_fault(c)
         for c in cells:
-            for n in self.mesh.neighbors(c):
+            for n in self.net.neighbors_of(c):
                 if not self.net.is_faulty(n):
                     node = self.net.nodes[n]
                     self.net.sim.schedule(

@@ -141,45 +141,40 @@ class RoutingMixin(NodeProcess):
         for prefer_axis, detour_axis in axes:
             payload = {
                 "query": query_id,
-                "dest": list(dest),
-                "source": list(self.coord),
+                "dest": dest,
+                "source": self.coord,
                 "prefer": prefer_axis,
                 "detour": detour_axis,
-                "trail": [list(self.coord)],
+                "trail": (self.coord,),
             }
             self._detect_walk_step(payload)
 
     def _detect_walk_step(self, payload: dict[str, Any]) -> None:
-        dest = tuple(payload["dest"])
+        # Walks only move +1 along axes still short of the (in-mesh)
+        # destination, so every ``up`` lookup below is a mesh node.
+        dest = payload["dest"]
         prefer = payload["prefer"]
-        detour = payload.get("detour")
-        if self.coord[prefer] == dest[prefer]:
+        coord = self.coord
+        if coord[prefer] == dest[prefer]:
             self._detect_reply(payload, ok=True)
             return
-        ahead = list(self.coord)
-        ahead[prefer] += 1
-        ahead = tuple(ahead)
-        if self.network.mesh.contains(ahead) and not self._is_unsafe(ahead):
+        ahead = self.up[prefer]
+        if not self._is_unsafe(ahead):
             self._detect_forward(payload, ahead)
             return
-        if detour is None:
+        detour = payload.get("detour")
+        if detour is None or coord[detour] >= dest[detour]:
             self._detect_reply(payload, ok=False)
             return
-        side = list(self.coord)
-        side[detour] += 1
-        side = tuple(side)
-        if (
-            side[detour] > dest[detour]
-            or not self.network.mesh.contains(side)
-            or self._is_unsafe(side)
-        ):
+        side = self.up[detour]
+        if self._is_unsafe(side):
             self._detect_reply(payload, ok=False)
             return
         self._detect_forward(payload, side)
 
     def _detect_forward(self, payload: dict[str, Any], dst: Coord) -> None:
-        payload = dict(payload)
-        payload["trail"] = payload["trail"] + [list(dst)]
+        payload = payload.copy()
+        payload["trail"] = payload["trail"] + (dst,)
         ttl = 8 * (sum(self.network.mesh.shape) + 8)
         self.send(dst, "DETECT", payload, ttl=ttl)
 
@@ -195,15 +190,15 @@ class RoutingMixin(NodeProcess):
         for name in self._SURFACES:
             payload = {
                 "query": query_id,
-                "dest": list(dest),
-                "source": list(self.coord),
+                "dest": dest,
+                "source": self.coord,
                 "surface": name,
-                "trail": [list(self.coord)],
+                "trail": (self.coord,),
             }
             self._detect_flood_step(payload)
 
     def _detect_flood_step(self, payload: dict[str, Any]) -> None:
-        dest = tuple(payload["dest"])
+        dest = payload["dest"]
         name = payload["surface"]
         spread, detour, target = self._SURFACES[name]
         seen = self.store.setdefault("_flood_seen", set())
@@ -211,26 +206,26 @@ class RoutingMixin(NodeProcess):
         if key in seen:
             return
         seen.add(key)
-        if self.coord[target] == dest[target]:
+        coord = self.coord
+        if coord[target] == dest[target]:
             self._detect_reply(payload, ok=True)
             return
+        # Floods only step +1 along axes still short of the (in-mesh)
+        # destination, so every ``up`` lookup below is a mesh node.
+        up = self.up
         moves = []
         obstructed = False
         for axis in spread:
-            ahead = list(self.coord)
-            ahead[axis] += 1
-            ahead = tuple(ahead)
-            if ahead[axis] > dest[axis]:
+            if coord[axis] >= dest[axis]:
                 continue
+            ahead = up[axis]
             if self._is_unsafe(ahead):
                 obstructed = True
             else:
                 moves.append(ahead)
-        if obstructed:
-            ahead = list(self.coord)
-            ahead[detour] += 1
-            ahead = tuple(ahead)
-            if ahead[detour] <= dest[detour] and not self._is_unsafe(ahead):
+        if obstructed and coord[detour] < dest[detour]:
+            ahead = up[detour]
+            if not self._is_unsafe(ahead):
                 moves.append(ahead)
         for nxt in moves:
             self._detect_forward(payload, nxt)
@@ -239,24 +234,23 @@ class RoutingMixin(NodeProcess):
 
     def _detect_reply(self, payload: dict[str, Any], ok: bool) -> None:
         kind = "DETECT_OK" if ok else "DETECT_FAIL"
-        trail = [tuple(c) for c in payload["trail"]]
         reply = {
             "query": payload["query"],
             "which": payload.get("prefer", payload.get("surface")),
-            "trail": [list(c) for c in trail],
+            "trail": payload["trail"],
         }
         self._reply_step(kind, reply)
 
     def _reply_step(self, kind: str, payload: dict[str, Any]) -> None:
-        trail = [tuple(c) for c in payload["trail"]]
+        trail = payload["trail"]
         if len(trail) <= 1:
             if kind == "ROUTE_DONE":
                 self._absorb_route_done(payload)
             else:
                 self._absorb_reply(kind, payload)
             return
-        payload = dict(payload)
-        payload["trail"] = [list(c) for c in trail[:-1]]
+        payload = payload.copy()
+        payload["trail"] = trail[:-1]
         self.send(trail[-2], kind, payload, ttl=None)
 
     def _absorb_reply(self, kind: str, payload: dict[str, Any]) -> None:
@@ -283,40 +277,38 @@ class RoutingMixin(NodeProcess):
     def _launch_route(self, query_id: int, query: dict[str, Any]) -> None:
         payload = {
             "query": query_id,
-            "dest": list(query["dest"]),
-            "source": list(self.coord),
-            "path": [list(self.coord)],
-            "visited": [list(self.coord)],
+            "dest": query["dest"],
+            "source": self.coord,
+            "path": (self.coord,),
+            "visited": (self.coord,),
         }
         self._route_step(payload)
 
     def _route_step(self, payload: dict[str, Any]) -> None:
-        dest = tuple(payload["dest"])
+        dest = payload["dest"]
         if self.coord == dest:
             self._route_done(payload, "delivered")
             return
-        visited = {tuple(c) for c in payload["visited"]}
+        visited = payload["visited"]
         for axis in self._route_candidates(dest):
-            nxt = list(self.coord)
-            nxt[axis] += 1
-            nxt = tuple(nxt)
+            nxt = self.up[axis]
             if nxt in visited:
                 continue
-            forward = dict(payload)
-            forward["path"] = payload["path"] + [list(nxt)]
-            forward["visited"] = payload["visited"] + [list(nxt)]
+            forward = payload.copy()
+            forward["path"] = payload["path"] + (nxt,)
+            forward["visited"] = visited + (nxt,)
             self.send(nxt, "ROUTE", forward, ttl=None)
             return
         # Dead end: every live successor already tried.  Backtrack the
         # token one hop; the previous node resumes with its next
         # candidate (each cell enters the visited set once, so the
         # search is linear in the RMP size and always terminates).
-        path = [tuple(c) for c in payload["path"]]
+        path = payload["path"]
         if len(path) <= 1:
             self._route_done(payload, "stuck")
             return
-        back = dict(payload)
-        back["path"] = [list(c) for c in path[:-1]]
+        back = payload.copy()
+        back["path"] = path[:-1]
         self.send(path[-2], "ROUTE", back, ttl=None)
 
     def _route_candidates(self, dest: Coord) -> list[int]:
@@ -330,17 +322,16 @@ class RoutingMixin(NodeProcess):
         backtracking walk corrects such excursions exactly.
         """
         records = list(self.store.get("records", {}).values())
+        faulty = self.network.faulty
         preferred: list[int] = []
         deferred: list[int] = []
-        for axis in range(len(self.coord)):
-            if self.coord[axis] >= dest[axis]:
+        # Only axes still short of the (in-mesh) destination are
+        # candidates, so every ``up`` lookup below is a mesh node.
+        for axis, (c, d) in enumerate(zip(self.coord, dest, strict=True)):
+            if c >= d:
                 continue
-            nxt = list(self.coord)
-            nxt[axis] += 1
-            nxt = tuple(nxt)
-            if not self.network.mesh.contains(nxt):
-                continue
-            if self.network.is_faulty(nxt):
+            nxt = self.up[axis]
+            if nxt in faulty:
                 continue  # never forward to a dead node
             if self._is_unsafe(nxt) or any(
                 self._record_forbids(rec, nxt, axis, dest) for rec in records
@@ -374,20 +365,12 @@ class RoutingMixin(NodeProcess):
         return n_col in tops and neighbor[shadow_axis] < tops[n_col]
 
     def _route_done(self, payload: dict[str, Any], status: str) -> None:
-        deliveries = self.store.setdefault("deliveries", [])
-        deliveries.append(
-            {
-                "query": payload["query"],
-                "status": status,
-                "path": [tuple(c) for c in payload["path"]],
-            }
-        )
         # Notify the source along the reverse path.
         notice = {
             "query": payload["query"],
             "status": status,
-            "path": [list(c) for c in payload["path"]],
-            "trail": [list(c) for c in payload["path"]],
+            "path": payload["path"],
+            "trail": payload["path"],
         }
         self._reply_step("ROUTE_DONE", notice)
 
@@ -396,24 +379,21 @@ class RoutingMixin(NodeProcess):
         if query is None:
             return
         query["status"] = payload["status"]
-        query["path"] = [tuple(c) for c in payload["path"]]
+        query["path"] = list(payload["path"])
         query["completed_at"] = self.network.sim.now
 
-    # -- dispatch ---------------------------------------------------------------------
+    # -- message handlers ---------------------------------------------------------------
 
-    def handle_routing(self, msg: Message) -> bool:
-        if msg.kind == "DETECT":
-            if self.store.get("label", SAFE) == SAFE:
-                if "surface" in msg.payload:
-                    self._detect_flood_step(msg.payload)
-                else:
-                    self._detect_walk_step(msg.payload)
-        elif msg.kind in ("DETECT_OK", "DETECT_FAIL"):
-            self._reply_step(msg.kind, msg.payload)
-        elif msg.kind == "ROUTE":
-            self._route_step(msg.payload)
-        elif msg.kind == "ROUTE_DONE":
-            self._reply_step("ROUTE_DONE", msg.payload)
-        else:
-            return False
-        return True
+    def _on_detect(self, msg: Message) -> None:
+        if self.store.get("label", SAFE) == SAFE:
+            if "surface" in msg.payload:
+                self._detect_flood_step(msg.payload)
+            else:
+                self._detect_walk_step(msg.payload)
+
+    def _on_reply(self, msg: Message) -> None:
+        """DETECT_OK, DETECT_FAIL and ROUTE_DONE retrace their trail."""
+        self._reply_step(msg.kind, msg.payload)
+
+    def _on_route(self, msg: Message) -> None:
+        self._route_step(msg.payload)

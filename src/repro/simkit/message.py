@@ -11,9 +11,19 @@ pinned by its test: a downstream node mutating its copy never
 retroactively rewrites the sender's hop, in either direction.
 
 The nested-value rule is also unchanged from the shallow-copy days:
-values reached *through* a payload (trail lists, shape lists) are
-shared across hops, so protocols that mutate nested values must copy
-them before writing.
+values reached *through* a payload (trails, shapes) are shared across
+hops, so protocols that mutate nested values must copy them before
+writing.  The distributed protocols sidestep that: coordinates,
+trails and paths are tuples (a hop extends a trail with
+``trail + (dst,)`` and a reply retraces it with ``trail[:-1]``),
+section shapes and ring contacts are frozensets, and list values
+(EDGE announcements, a wall's per-column tops) are never mutated
+after a send.
+
+The copy rule for handlers: to derive an outgoing payload from a
+received one, call :meth:`Payload.copy` — one C-level ``dict`` copy —
+never ``dict(payload)``, which walks the view through Python-level
+``keys()`` and one ``__getitem__`` call per key.
 """
 
 from __future__ import annotations
@@ -93,8 +103,8 @@ class Payload:
         return self._d.items()
 
     def copy(self) -> dict[str, Any]:
-        """A plain, caller-owned dict snapshot."""
-        return dict(self._d)
+        """A plain, caller-owned dict snapshot (one C-level dict copy)."""
+        return self._d.copy()
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, Payload):

@@ -1,16 +1,19 @@
 """The mesh network: delivers neighbor messages between node processes.
 
 Faulty nodes are dead: they neither send nor receive (fail-stop model).
-Messages addressed to a faulty or off-mesh node are dropped and counted
-— protocols must use :meth:`NodeProcess.neighbor_faulty` to avoid that,
-exactly as real routers consult link liveness.
+Messages addressed to a faulty node are dropped and counted; a send
+that is not along a mesh link raises.  Protocols consult neighbor
+liveness before sending, exactly as real routers consult link
+liveness.
 
 Hot-path layout: the admission path (``transmit``) runs once per
 message, so everything it consults is precomputed at construction —
 the set of valid directed links (one set lookup replaces the
-``contains`` + ``manhattan`` recomputation per send), a per-node
-neighbor table, and a plain-set mirror of the fault mask (a Python set
-membership test instead of a numpy fancy-index per liveness check).
+``contains`` + ``manhattan`` recomputation per send), per-node
+neighbor tables (the neighbor list, and the ±1 neighbor per axis that
+protocol handlers look up instead of building and bounds-checking
+coordinate tuples), and a plain-set mirror of the fault mask (a Python
+set membership test instead of a numpy fancy-index per liveness check).
 The numpy ``fault_mask`` stays the source of truth for bulk array
 consumers; mutate it only through :meth:`inject_fault` /
 :meth:`repair`, which keep the mirror in sync.
@@ -18,6 +21,7 @@ consumers; mutate it only through :meth:`inject_fault` /
 
 from __future__ import annotations
 
+import itertools
 from typing import Callable
 
 import numpy as np
@@ -47,6 +51,41 @@ class _LinkState:
         self.free = [0.0] * capacity
         #: Messages currently in flight or queued on this link.
         self.depth = 0
+
+
+def _neighbor_tables(shape: tuple[int, ...]):
+    """All node coordinates, the per-node neighbor tables and the links.
+
+    One direct pass over the extents: the ±1 neighbor along an axis is
+    the node ``stride`` positions away in row-major order, so every
+    table entry is the *same* tuple object as the node's own key (dict
+    and set lookups on it hit the identity fast path).  Neighbor lists
+    keep :meth:`Mesh.neighbors` order: +axis then -axis, axis by axis.
+    """
+    coords = list(itertools.product(*(range(k) for k in shape)))
+    strides = [int(np.prod(shape[axis + 1:])) for axis in range(len(shape))]
+    neighbors: dict[Coord, list[Coord]] = {}
+    links: list[tuple[Coord, Coord]] = []
+    up: dict[Coord, tuple[Coord | None, ...]] = {}
+    down: dict[Coord, tuple[Coord | None, ...]] = {}
+    for i, coord in enumerate(coords):
+        plus: list[Coord | None] = []
+        minus: list[Coord | None] = []
+        adjacent: list[Coord] = []
+        for c, k, stride in zip(coord, shape, strides, strict=True):
+            hi = coords[i + stride] if c + 1 < k else None
+            lo = coords[i - stride] if c > 0 else None
+            plus.append(hi)
+            minus.append(lo)
+            if hi is not None:
+                adjacent.append(hi)
+            if lo is not None:
+                adjacent.append(lo)
+        neighbors[coord] = adjacent
+        links.extend((coord, n) for n in adjacent)
+        up[coord] = tuple(plus)
+        down[coord] = tuple(minus)
+    return coords, neighbors, frozenset(links), up, down
 
 
 class MeshNetwork:
@@ -85,25 +124,26 @@ class MeshNetwork:
         self.link_delay = link_delay
         self.link_capacity = link_capacity
         self._links: dict[tuple[Coord, Coord], _LinkState] = {}
-        #: Per-node neighbor lists, computed once (NodeProcess.neighbors
-        #: serves from here instead of re-deriving coordinate tuples).
-        self._neighbors: dict[Coord, list[Coord]] = {
-            coord: mesh.neighbors(coord) for coord in mesh.nodes()
-        }
-        #: Every valid directed link of the mesh — transmit validation
-        #: is one frozenset lookup (both endpoints in-mesh, adjacent).
-        self._valid_links: frozenset[tuple[Coord, Coord]] = frozenset(
-            (src, dst)
-            for src, neighbors in self._neighbors.items()
-            for dst in neighbors
-        )
-        #: Plain-set mirror of ``fault_mask`` for O(1) liveness checks.
-        self._faulty: set[Coord] = {
+        #: Per-node neighbor lists (NodeProcess.neighbors serves from
+        #: here), every valid directed link of the mesh (transmit
+        #: validation is one frozenset lookup: both endpoints in-mesh,
+        #: adjacent) and the ±1 neighbor per axis (NodeProcess.up/down).
+        (
+            coords,
+            self._neighbors,
+            self._valid_links,
+            self._up,
+            self._down,
+        ) = _neighbor_tables(mesh.shape)
+        #: Plain-set mirror of ``fault_mask`` for O(1) liveness checks
+        #: (protocol handlers test ``coord in network.faulty``).  Read
+        #: it; mutate it only through inject_fault/repair.
+        self.faulty: set[Coord] = {
             tuple(int(c) for c in cell) for cell in np.argwhere(self.fault_mask)
         }
         factory = node_factory or NodeProcess
         self.nodes: dict[Coord, NodeProcess] = {
-            coord: factory(self, coord) for coord in mesh.nodes()
+            coord: factory(self, coord) for coord in coords
         }
 
     def set_link_capacity(self, capacity: int | None) -> None:
@@ -123,17 +163,26 @@ class MeshNetwork:
     # -- fault handling ------------------------------------------------------
 
     def is_faulty(self, coord: Coord) -> bool:
-        return tuple(coord) in self._faulty
+        return tuple(coord) in self.faulty
 
     def neighbors_of(self, coord: Coord) -> list[Coord]:
         """The precomputed neighbor list of ``coord`` (do not mutate)."""
         return self._neighbors[coord]
 
+    def axis_neighbors_of(
+        self, coord: Coord
+    ) -> tuple[tuple[Coord | None, ...], tuple[Coord | None, ...]]:
+        """``(up, down)``: the +1 and -1 neighbor of ``coord`` per axis.
+
+        ``None`` marks a mesh face.  Both tuples are precomputed once.
+        """
+        return self._up[coord], self._down[coord]
+
     def inject_fault(self, coord: Coord) -> None:
         """Kill a node mid-simulation (dynamic-fault experiments)."""
         coord = tuple(coord)
         self.fault_mask[coord] = True
-        self._faulty.add(coord)
+        self.faulty.add(coord)
 
     def repair(self, coord: Coord) -> None:
         """Bring a dead node back mid-simulation (churn experiments).
@@ -145,7 +194,7 @@ class MeshNetwork:
         """
         coord = tuple(coord)
         self.fault_mask[coord] = False
-        self._faulty.discard(coord)
+        self.faulty.discard(coord)
 
     # -- message plumbing ------------------------------------------------------
 
@@ -155,11 +204,16 @@ class MeshNetwork:
             raise ValueError(
                 f"{msg.kind}: {msg.src} -> {msg.dst} is not a mesh link"
             )
-        if msg.src in self._faulty:
+        if msg.src in self.faulty:
             # A node that died mid-action sends nothing (fail-stop).
             self.stats.bump("dropped[src-faulty]")
             return
-        self.stats.on_send(msg.kind, query=msg.payload.get("query"))
+        # StatsCollector.on_send, inlined (one call per message saved).
+        stats = self.stats
+        stats.messages_sent[msg.kind] += 1
+        query = msg.payload.get("query")
+        if query is not None:
+            stats.query_messages[query] += 1
         if self.link_capacity is None:
             self.sim.schedule(self.link_delay, lambda: self._deliver(msg))
             return
@@ -188,12 +242,13 @@ class MeshNetwork:
     def _deliver(self, msg: Message, link: tuple[Coord, Coord] | None = None) -> None:
         if link is not None:
             self._links[link].depth -= 1
-        if msg.dst in self._faulty:
+        if msg.dst in self.faulty:
             self.stats.bump("dropped[dst-faulty]")
             if msg.kind == FRAME_KIND:
                 self.stats.bump("frames[lost]")
             return
-        if msg.expired():
+        ttl = msg.ttl
+        if ttl is not None and msg.hops > ttl:  # Message.expired, inlined
             self.stats.bump("dropped[ttl]")
             return
         if self.trace is not None:
@@ -252,7 +307,7 @@ class MeshNetwork:
     def start(self) -> None:
         """Invoke every live node's ``on_start`` at t=0."""
         for coord, node in self.nodes.items():
-            if coord not in self._faulty:
+            if coord not in self.faulty:
                 self.sim.schedule(0.0, node.on_start)
 
     def run(self, **kwargs) -> int:
@@ -272,5 +327,5 @@ class MeshNetwork:
         return {
             coord: node.store.get(key, default)
             for coord, node in self.nodes.items()
-            if coord not in self._faulty
+            if coord not in self.faulty
         }

@@ -26,6 +26,10 @@ class NodeProcess:
         self.network = network
         self.coord = coord
         self.store: dict[str, Any] = {}
+        #: The +1 (``up``) and -1 (``down``) neighbor along each axis,
+        #: ``None`` at a mesh face — the network's precomputed tables,
+        #: so handlers never build or bounds-check coordinate tuples.
+        self.up, self.down = network.axis_neighbors_of(coord)
 
     # -- framework callbacks ------------------------------------------------
 
@@ -42,7 +46,7 @@ class NodeProcess:
 
     @property
     def alive(self) -> bool:
-        return not self.network.is_faulty(self.coord)
+        return self.coord not in self.network.faulty
 
     def neighbors(self) -> list[Coord]:
         """All in-mesh neighbor coordinates (alive or not).
@@ -53,7 +57,8 @@ class NodeProcess:
         return self.network.neighbors_of(self.coord)
 
     def neighbor(self, direction: Direction) -> Coord | None:
-        return self.network.mesh.neighbor(self.coord, direction)
+        """The neighbor along ``direction``, or None at a mesh face."""
+        return (self.up if direction.sign > 0 else self.down)[direction.axis]
 
     def neighbor_faulty(self, direction: Direction) -> bool | None:
         """Local fault detection: None when off-mesh, else liveness.
@@ -63,7 +68,7 @@ class NodeProcess:
         node knows only the status of its neighbors").
         """
         n = self.neighbor(direction)
-        return None if n is None else self.network.is_faulty(n)
+        return None if n is None else n in self.network.faulty
 
     def send(self, dst: Coord, kind: str, payload: dict | None = None, ttl: int | None = None) -> None:
         """Send one message to a neighbor (asserts mesh adjacency)."""

@@ -14,6 +14,8 @@ Two pillars of the concurrent simulation core:
   stamped with the epoch they completed under.
 """
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -106,6 +108,36 @@ class TestSessionParity:
         assert dead_dst.result["reason"] == "dest unsafe"
         assert dead_src.result["msgs"] == 0
 
+    @pytest.mark.parametrize("strict", [True, False])
+    @pytest.mark.parametrize(
+        "source,dest,named",
+        [
+            ((0, 0, 0), (4, 0, 0), "(4, 0, 0)"),  # one past the +X face
+            ((-1, 0, 0), (1, 1, 1), "(-1, 0, 0)"),
+            ((0, 0), (1, 1, 1), "(0, 0)"),  # wrong arity
+            ((0, 0, 0, 0), (1, 1, 1), "(0, 0, 0, 0)"),
+            ((0.5, 0, 0), (1, 1, 1), "(0.5, 0, 0)"),  # no silent truncation
+            ((0, 0, 0), (1.0, 1, 1), "(1.0, 1, 1)"),
+            ((0, 0, 0), "abc", "'abc'"),
+        ],
+    )
+    def test_submit_rejects_malformed_endpoints(self, source, dest, named, strict):
+        pipe = DistributedMCCPipeline(Mesh((4, 4, 4)), np.zeros((4,) * 3, dtype=bool))
+        with pytest.raises(ValueError, match=re.escape(named)):
+            pipe.submit(source, dest, strict=strict)
+        # Rejected before anything ran: no build, nothing scheduled.
+        assert not pipe._built
+        assert pipe.net.sim.idle
+        assert pipe.net.stats.total_messages == 0
+        assert pipe.drain() == []
+
+    def test_submit_accepts_numpy_integers(self):
+        pipe = DistributedMCCPipeline(Mesh2D(4), np.zeros((4, 4), dtype=bool))
+        handle = pipe.submit(np.array([0, 0]), (np.int64(3), np.int8(2)))
+        assert handle.source == (0, 0) and handle.dest == (3, 2)
+        assert all(type(c) is int for c in handle.source + handle.dest)
+        assert pipe.drain()[0]["status"] == "delivered"
+
 
 class TestChurnAwareDES:
     @given(st.integers(0, 2**32 - 1), st.booleans())
@@ -175,6 +207,11 @@ class TestChurnAwareDES:
             pipe.apply_event("inject", [(2, 2), (2, 2)])
         with pytest.raises(ValueError, match="unknown event"):
             pipe.apply_event("explode", [(2, 2)])
+        with pytest.raises(ValueError, match=re.escape("(5, 0) is outside")):
+            pipe.apply_event("inject", [(5, 0)])
+        with pytest.raises(ValueError, match=re.escape("(0.5, 2)")):
+            pipe.apply_event("inject", [(0.5, 2)])
+        assert pipe.epoch == 0
 
     def test_repair_restores_records_of_distant_sections(self):
         # Review-found regression: a healed node had its store cleared
@@ -206,6 +243,31 @@ class TestChurnAwareDES:
         assert handle.result["status"] == "delivered"
         assert handle.query_id not in pipe.net.nodes[(0, 0)].store["queries"]
         assert handle.query_id not in pipe.net.stats.query_messages
+
+    def test_repeated_rounds_keep_protocol_memory_flat(self):
+        rng = np.random.default_rng(5)
+        mask = random_mask(rng, (6, 6, 6), 20)
+        pairs = sample_canonical_pairs(rng, label_grid(mask).status, 20)
+        pipe = DistributedMCCPipeline(Mesh((6, 6, 6)), mask).build()
+
+        def store_size() -> int:
+            total = 0
+            for node in pipe.net.nodes.values():
+                for value in node.store.values():
+                    total += 1 + (len(value) if hasattr(value, "__len__") else 0)
+            return total
+
+        sizes = []
+        for _round in range(4):
+            for s, d in pairs:
+                pipe.submit(s, d)
+            assert len(pipe.drain()) == len(pairs)
+            sizes.append(store_size())
+            assert not pipe.net.stats.query_messages
+        assert sizes[1:] == sizes[:1] * 3
+        for node in pipe.net.nodes.values():
+            assert "_flood_seen" not in node.store
+            assert "deliveries" not in node.store
 
     def test_restabilization_is_scoped(self):
         # A far-corner event must not re-run identification for an

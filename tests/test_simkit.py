@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from repro.mesh.regions import mask_of_cells
-from repro.mesh.topology import Mesh2D
+from repro.mesh.coords import all_directions
+from repro.mesh.topology import Mesh, Mesh2D
 from repro.simkit.event_queue import EventQueue, HeapEventQueue
 from repro.simkit.message import Message
 from repro.simkit.network import MeshNetwork
@@ -252,6 +253,46 @@ class TestNetwork:
         assert net.stats.query_messages[7] == 2
         assert net.stats.query_messages[9] == 1
         assert net.stats.total_messages == 4
+
+
+class TestNeighborTables:
+    """The network's precomputed tables agree with the Mesh queries."""
+
+    @pytest.mark.parametrize(
+        "shape", [(1,), (5,), (1, 4), (4, 1), (3, 5), (1, 1, 3), (3, 4, 2), (4, 4, 4)]
+    )
+    def test_tables_match_mesh(self, shape):
+        mesh = Mesh(shape)
+        net = MeshNetwork(mesh, np.zeros(shape, dtype=bool))
+        assert list(net.nodes) == list(mesh.nodes())
+        links = set()
+        for coord, node in net.nodes.items():
+            assert net.neighbors_of(coord) == mesh.neighbors(coord)
+            assert node.neighbors() == mesh.neighbors(coord)
+            up, down = net.axis_neighbors_of(coord)
+            assert (up, down) == (node.up, node.down)
+            assert len(up) == len(down) == mesh.ndim
+            for direction in all_directions(mesh.ndim):
+                want = mesh.neighbor(coord, direction)
+                table = up if direction.sign > 0 else down
+                assert table[direction.axis] == want
+                assert node.neighbor(direction) == want
+                # Table entries are exactly the in-mesh cells one step away.
+                stepped = list(coord)
+                stepped[direction.axis] += direction.sign
+                assert mesh.contains(stepped) == (want is not None)
+                assert (tuple(stepped) in net.nodes) == mesh.contains(stepped)
+                if want is not None:
+                    links.add((coord, want))
+        assert net._valid_links == links
+
+    def test_neighbor_faulty_uses_tables(self):
+        mask = mask_of_cells([(1, 1)], (3, 3))
+        net = MeshNetwork(Mesh2D(3), mask)
+        corner = net.nodes[(0, 1)]
+        assert corner.neighbor_faulty(all_directions(2)[0]) is True  # +X
+        assert corner.neighbor_faulty(all_directions(2)[1]) is None  # -X: face
+        assert corner.neighbor_faulty(all_directions(2)[2]) is False  # +Y
 
 
 class TestStatsAndTrace:
